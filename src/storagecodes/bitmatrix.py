@@ -17,15 +17,18 @@ Text dump format (also used by the CLI ``--dump`` option):
                 columns 4k..4k+3, with column 4k in the least significant
                 bit of the digit.
 
-SparseBitMatrix holds only the positions of 1-entries, keyed by pairs of
-integers (for coefficient matrices the keys are exponent pairs).  Ranks are
+``BitMatrix.load`` accepts exactly this format and nothing else.
+
+SparseBitMatrix holds only the positions of 1-entries, as packed uint64 keys
+of integer pairs (for coefficient matrices the keys are exponent pairs); a
+position listed twice is still one 1-entry.  Ranks are
 invariant under dropping all-zero rows and columns, so ``compact`` maps the
 occupied keys, in sorted order, onto a dense BitMatrix.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -44,6 +47,9 @@ def _int_to_words(value: int, cols: int) -> np.ndarray:
     w = _words_per_row(cols)
     raw = value.to_bytes(w * 8, "little")
     return np.frombuffer(raw, dtype="<u8").astype(np.uint64)
+
+
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 class BitMatrix:
@@ -165,11 +171,6 @@ class BitMatrix:
         out._mask_pad()
         return out
 
-    def xor(self, other: "BitMatrix") -> "BitMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ParameterError("dimension mismatch")
-        return BitMatrix(self.rows, self.cols, self.words ^ other.words)
-
     def hadamard(self, other: "BitMatrix") -> "BitMatrix":
         """Entrywise product, i.e. bitwise AND."""
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -214,11 +215,17 @@ class BitMatrix:
 
     # -- elimination ----------------------------------------------------
 
-    def rank(self) -> int:
-        """Rank over GF(2).  The matrix itself is left untouched."""
-        if self.rows == 0 or self.cols == 0:
-            return 0
+    def _echelon(self) -> tuple[np.ndarray, list[int]]:
+        """Forward elimination of a copy; returns (words, pivot columns).
+
+        Row i of the result has its leading 1 in column pivots[i] and the
+        rows from len(pivots) on are zero.  Only rows below each pivot are
+        cleared, which is all that rank needs.
+        """
         M = self.words.copy()
+        pivots: list[int] = []
+        if self.rows == 0 or self.cols == 0:
+            return M, pivots
         R = self.rows
         r = 0
         one = np.uint64(1)
@@ -242,47 +249,30 @@ class BitMatrix:
             rest = nz[1:] + r
             if rest.size:
                 M[rest] ^= M[r]
+            pivots.append(c)
             r += 1
             if r == R:
                 break
-        return r
-
-    def _rref(self) -> tuple[np.ndarray, list[int]]:
-        """Reduced row echelon form of a copy; returns (words, pivot columns)."""
-        M = self.words.copy()
-        pivots: list[int] = []
-        if self.rows == 0 or self.cols == 0:
-            return M, pivots
-        r = 0
-        one = np.uint64(1)
-        for c in range(self.cols):
-            col = (M[r:, c >> 6] >> np.uint64(c & 63)) & one
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            p = r + int(nz[0])
-            if p != r:
-                tmp = M[r].copy()
-                M[r] = M[p]
-                M[p] = tmp
-            full = (M[:, c >> 6] >> np.uint64(c & 63)) & one
-            hit = np.nonzero(full)[0]
-            hit = hit[hit != r]
-            if hit.size:
-                M[hit] ^= M[r]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
         return M, pivots
+
+    def rank(self) -> int:
+        """Rank over GF(2).  The matrix itself is left untouched."""
+        return len(self._echelon()[1])
 
     def kernel_basis(self) -> list[int]:
         """A basis of {v : M v = 0}, as little-endian bit ints.
 
         Returns cols - rank vectors; standard free-column construction from
-        the reduced row echelon form.
+        the reduced row echelon form, reached by back-substitution over the
+        pivots of the forward elimination.
         """
-        M, pivots = self._rref()
+        M, pivots = self._echelon()
+        one = np.uint64(1)
+        for ri in range(len(pivots) - 1, 0, -1):
+            c = pivots[ri]
+            hit = np.nonzero((M[:ri, c >> 6] >> np.uint64(c & 63)) & one)[0]
+            if hit.size:
+                M[hit] ^= M[ri]
         pivot_set = set(pivots)
         basis = []
         for f in range(self.cols):
@@ -291,7 +281,7 @@ class BitMatrix:
             v = 1 << f
             fw, fb = f >> 6, np.uint64(f & 63)
             for ri, c in enumerate(pivots):
-                if (M[ri, fw] >> fb) & np.uint64(1):
+                if (M[ri, fw] >> fb) & one:
                     v |= 1 << c
             basis.append(v)
         return basis
@@ -303,81 +293,58 @@ class BitMatrix:
         fh.write(f"{self.rows} {self.cols}\n")
         digits = (self.cols + 3) // 4
         for i in range(self.rows):
-            v = self.row_int(i)
-            fh.write("".join("0123456789abcdef"[(v >> (4 * k)) & 15] for k in range(digits)))
+            # reversed hex puts the digit for columns 0..3 first
+            fh.write(format(self.row_int(i), f"0{digits}x")[::-1] if digits else "")
             fh.write("\n")
 
     @classmethod
     def load(cls, fh) -> "BitMatrix":
+        """Read the dump format back; anything but an exact dump is rejected.
+
+        Raises ParameterError for a header that is not two non-negative
+        integers, missing rows, a row that is not exactly ceil(cols/4) hex
+        digits or sets a pad bit, and non-blank text after the last row.
+        """
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ParameterError("bad dump header")
+        if len(header) != 2 or not all(h.isascii() and h.isdigit() for h in header):
+            raise ParameterError("dump header is not two non-negative integers")
         rows, cols = int(header[0]), int(header[1])
+        digits = (cols + 3) // 4
         vals = []
-        for _ in range(rows):
-            line = fh.readline().strip()
-            v = 0
-            for k, ch in enumerate(line):
-                v |= int(ch, 16) << (4 * k)
-            vals.append(v)
+        for i in range(rows):
+            line = fh.readline()
+            if not line:
+                raise ParameterError(f"dump ends after {i} of {rows} rows")
+            line = line.rstrip("\n")
+            if len(line) != digits or not _HEX_DIGITS.issuperset(line):
+                raise ParameterError(f"row {i} is not {digits} hex digits")
+            vals.append(int(line[::-1], 16) if digits else 0)
+        if fh.read().strip():
+            raise ParameterError(f"text after the last of {rows} rows")
         return cls.from_row_ints(vals, cols)
 
 
 class SparseBitMatrix:
-    """Positions of the 1-entries of a 0/1 matrix with integer-pair keys.
+    """Positions of the 1-entries of a 0/1 matrix, as packed uint64 keys.
 
-    Keys are pairs (a, b) of non-negative ints below 2^32, packed into one
-    uint64 so that integer order on packed keys equals lexicographic order
-    on the pairs.
+    Entry k sits at row key ``row_keys[k]`` and column key ``col_keys[k]``.
+    A key packs a pair (a, b) of non-negative ints below 2^32 as
+    ``(a << 32) | b``, so integer order on keys equals lexicographic order
+    on the pairs.  A position listed twice is still a single 1-entry.
     """
 
     __slots__ = ("_row_keys", "_col_keys")
 
-    def __init__(self, entries: Iterable[tuple[tuple[int, int], tuple[int, int]]] = ()):
-        rows = []
-        cols = []
-        for (a, b), (c, d) in entries:
-            rows.append(self._pack(a, b))
-            cols.append(self._pack(c, d))
-        r = np.array(rows, dtype=np.uint64)
-        c = np.array(cols, dtype=np.uint64)
-        packed = np.unique(np.stack([r, c], axis=1), axis=0) if r.size else np.zeros((0, 2), np.uint64)
-        self._row_keys = packed[:, 0]
-        self._col_keys = packed[:, 1]
-
-    @staticmethod
-    def _pack(a: int, b: int) -> int:
-        if not (0 <= a < 1 << 32 and 0 <= b < 1 << 32):
-            raise ParameterError("key component outside 0..2^32-1")
-        return (a << 32) | b
-
-    @staticmethod
-    def _unpack(k: int) -> tuple[int, int]:
-        return (int(k) >> 32, int(k) & 0xFFFFFFFF)
-
-    @classmethod
-    def from_packed(cls, row_keys: np.ndarray, col_keys: np.ndarray) -> "SparseBitMatrix":
-        """Adopt packed uint64 key arrays (deduplicated here)."""
-        self = cls.__new__(cls)
-        packed = np.stack([row_keys.astype(np.uint64), col_keys.astype(np.uint64)], axis=1)
-        packed = np.unique(packed, axis=0) if packed.size else np.zeros((0, 2), np.uint64)
-        self._row_keys = packed[:, 0]
-        self._col_keys = packed[:, 1]
-        return self
+    def __init__(self, row_keys: np.ndarray, col_keys: np.ndarray):
+        if np.shape(row_keys) != np.shape(col_keys) or np.ndim(row_keys) != 1:
+            raise ParameterError("row and column keys must be 1-d arrays of one length")
+        self._row_keys = np.asarray(row_keys, dtype=np.uint64)
+        self._col_keys = np.asarray(col_keys, dtype=np.uint64)
 
     @property
     def nnz(self) -> int:
+        """Number of listed positions."""
         return int(self._row_keys.size)
-
-    def entries(self) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-        for rk, ck in zip(self._row_keys, self._col_keys):
-            yield self._unpack(rk), self._unpack(ck)
-
-    def row_keys(self) -> list[tuple[int, int]]:
-        return [self._unpack(k) for k in np.unique(self._row_keys)]
-
-    def col_keys(self) -> list[tuple[int, int]]:
-        return [self._unpack(k) for k in np.unique(self._col_keys)]
 
     def compact(self) -> BitMatrix:
         """Dense matrix on the occupied rows/columns, keys in sorted order.

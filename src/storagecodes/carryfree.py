@@ -206,8 +206,7 @@ def nm_bound(m: int, r: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> tuple[
     Z[sqrt(2)] growth bound is required to hold as well.
     """
     value = count_nm(m, r, budget=budget)
-    t = m // (r + 1)
-    holds = value * 16 ** t <= 15 ** t * 4 ** m
+    holds = value <= fifteen_sixteenths_bound(m, r)
     if r == 1:
         holds = holds and nm_growth_bound_holds(m, value)
     return value, holds

@@ -63,10 +63,12 @@ def cmd_field_info(args) -> int:
 def cmd_nm_table(args) -> int:
     start = time.perf_counter()
     rows = []
-    for m in range(args.m_max + 1):
+    # largest m first: count_nm's budget check rejects --m-max before any enumeration
+    for m in range(args.m_max, -1, -1):
         value, holds = carryfree.nm_bound(m, args.r)
         bound = carryfree.fifteen_sixteenths_bound(m, args.r)
         rows.append((m, args.r, value, bound, holds))
+    rows.reverse()
     if args.format == "json":
         doc = {
             "meta": _meta(m_max=args.m_max, r=args.r),

@@ -65,12 +65,7 @@ def smallest_irreducible(m: int) -> int:
     Constant term 1 is required so that x never divides the modulus; this
     also pins the m=1 choice to x+1.  The result is deterministic.
     """
-    if not 1 <= m <= MAX_DEGREE:
-        raise ParameterError(f"degree m={m} outside 1..{MAX_DEGREE}")
-    for p in range((1 << m) | 1, 1 << (m + 1), 2):
-        if is_irreducible(p):
-            return p
-    raise AssertionError("unreachable: an irreducible of every degree exists")
+    return next(irreducible_polynomials(m))
 
 
 def irreducible_polynomials(m: int):

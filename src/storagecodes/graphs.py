@@ -9,7 +9,8 @@ undirected, and it is (2^m - 1)-regular.
 
 The triangle and connectivity checks each come in two flavours: a fast
 criterion used in production (a single-variable equation scan, and the
-GF(2)-span test) and a brute-force oracle on the built graph used by tests.
+GF(2)-span test, which ranks the connection vectors as a BitMatrix) and a
+brute-force oracle on the built graph used by tests.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
+from .bitmatrix import BitMatrix
 from .errors import BudgetError, ParameterError, PropertyViolation
 from .field import GF2m
 
@@ -56,10 +58,6 @@ def exponent_r_minus(n: int) -> int | None:
 
 def encode_vertex(x1: int, x2: int, m: int) -> int:
     return (x1 << m) | x2
-
-
-def decode_vertex(v: int, m: int) -> tuple[int, int]:
-    return v >> m, v & ((1 << m) - 1)
 
 
 @dataclass(frozen=True)
@@ -173,22 +171,6 @@ def triangle_oracle(graph: CayleyGraph) -> bool:
     return True
 
 
-def span_rank(vectors) -> int:
-    """Rank over GF(2) of int-encoded vectors, by top-bit pivot reduction."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for v in vectors:
-        while v:
-            top = v.bit_length() - 1
-            if top in pivots:
-                v ^= pivots[top]
-            else:
-                pivots[top] = v
-                rank += 1
-                break
-    return rank
-
-
 def is_connected(params: FamilyParams, field: GF2m) -> bool:
     """Connectivity via the span test.
 
@@ -196,7 +178,7 @@ def is_connected(params: FamilyParams, field: GF2m) -> bool:
     set spans the space, here iff the q vectors have rank 2m.
     """
     conn = connection_set(params, field)
-    return span_rank(conn.vectors) == 2 * field.m
+    return BitMatrix.from_row_ints(conn.vectors, 2 * field.m).rank() == 2 * field.m
 
 
 def bfs_connected(graph: CayleyGraph) -> bool:

@@ -176,7 +176,7 @@ def coeff_matrix(p: SparsePoly) -> SparseBitMatrix:
     """One 1-entry per monomial: row key (e_x1, e_x2), column key (e_y1, e_y2)."""
     rows = p._codes >> np.uint64(32)
     cols = p._codes & np.uint64(0xFFFFFFFF)
-    return SparseBitMatrix.from_packed(rows, cols)
+    return SparseBitMatrix(rows, cols)
 
 
 def poly_rank(p: SparsePoly) -> int:

@@ -34,13 +34,6 @@ from .graphs import CayleyGraph, FamilyParams, connection_set, exponent_r_plus
 _BLOCK_ROWS = 1024  # keeps the per-block xor table small even at m = 7
 
 
-def _pack_block_rows(block: np.ndarray, out: BitMatrix, row0: int) -> None:
-    packed = np.packbits(block, axis=1, bitorder="little")
-    buf = np.zeros((block.shape[0], out.words.shape[1] * 8), dtype=np.uint8)
-    buf[:, : packed.shape[1]] = packed
-    out.words[row0 : row0 + block.shape[0]] = np.ascontiguousarray(buf).view("<u8")
-
-
 def coset_matrix(params: FamilyParams, field: GF2m) -> BitMatrix:
     """The q^2 x q^2 coset matrix H of the connection set."""
     conn = connection_set(params, field)
@@ -52,7 +45,7 @@ def coset_matrix(params: FamilyParams, field: GF2m) -> BitMatrix:
     for r0 in range(0, n_vert, _BLOCK_ROWS):
         chunk = ids[r0 : r0 + _BLOCK_ROWS]
         block = indicator[np.bitwise_xor.outer(chunk, ids)]
-        _pack_block_rows(block, out, r0)
+        out.words[r0 : r0 + block.shape[0]] = BitMatrix.from_dense(block).words
     return out
 
 
@@ -79,7 +72,7 @@ def d_matrix(params: FamilyParams, field: GF2m) -> BitMatrix:
         sl = slice(r0, min(r0 + _BLOCK_ROWS, n_vert))
         cross = powers[np.bitwise_xor.outer(x1[sl], x1)]  # (x1+y1)^n
         block = (cross ^ shift[sl][:, None] ^ shift[None, :]) != 0
-        _pack_block_rows(block, out, r0)
+        out.words[sl] = BitMatrix.from_dense(block).words
     return out
 
 

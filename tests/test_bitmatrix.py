@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from storagecodes.bitmatrix import BitMatrix, SparseBitMatrix
 from storagecodes.errors import BudgetError, ParameterError
@@ -10,6 +11,15 @@ from oracles import pivot_rank, span_rank
 
 # the 4x4 coset matrix of the smallest family member: rows e_x + e_{x^3}
 H4_ROWS = [0b1001, 0b0110, 0b0110, 0b1001]
+
+
+def sparse(entries) -> SparseBitMatrix:
+    """SparseBitMatrix from ((a, b), (c, d)) pairs, keys packed as (a << 32) | b."""
+    def keys(pairs):
+        return np.array([(a << 32) | b for a, b in pairs], dtype=np.uint64)
+
+    entries = list(entries)
+    return SparseBitMatrix(keys(r for r, _ in entries), keys(c for _, c in entries))
 
 
 def test_rank_identity_and_allones():
@@ -79,6 +89,19 @@ def test_kernel_identity_zero_and_coset_example():
     assert {a ^ b for a in [0] + basis for b in [0] + basis} <= kernel
     for v in basis:
         assert h.mat_vec(v) == 0
+
+
+def test_kernel_when_the_all_zero_early_exit_fires():
+    # 10 x 300 with only the first 8 columns nonzero: elimination stops after
+    # the backoff finds the remaining rows all zero, long before column 300
+    rng = np.random.default_rng(314)
+    dense = np.zeros((10, 300), dtype=np.uint8)
+    dense[:, :8] = rng.integers(0, 2, size=(10, 8))
+    m = BitMatrix.from_dense(dense)
+    basis = m.kernel_basis()
+    assert len(basis) == m.cols - m.rank()
+    assert all(m.mat_vec(v) == 0 for v in basis)
+    assert pivot_rank(basis) == len(basis)
 
 
 def test_rank_plus_kernel_dimension_is_cols():
@@ -179,14 +202,59 @@ def test_dump_format_exact_and_round_trip():
         assert BitMatrix.load(buf) == m
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 9), st.integers(0, 140), st.integers(0, 2 ** 32 - 1))
+def test_dump_load_round_trip_property(rows, cols, seed):
+    m = BitMatrix.random(rows, cols, np.random.default_rng(seed))
+    buf = io.StringIO()
+    m.dump(buf)
+    buf.seek(0)
+    assert BitMatrix.load(buf) == m
+
+
+def load_text(text: str) -> BitMatrix:
+    return BitMatrix.load(io.StringIO(text))
+
+
+@pytest.mark.parametrize("header", ["3\n", "3 4 5\n", "-1 4\n", "3 x\n", "+1 4\n", "1_0 4\n", ""])
+def test_load_rejects_bad_header(header):
+    with pytest.raises(ParameterError):
+        load_text(header + "0\n" * 3)
+
+
+def test_load_rejects_missing_rows():
+    assert load_text("3 4\n1\n2\n4\n") == BitMatrix.from_row_ints([1, 2, 4], 4)
+    with pytest.raises(ParameterError):
+        load_text("3 4\n1\n")
+
+
+@pytest.mark.parametrize("row", ["z00", "", "00", "0000", "1_1", " 11", "11 ", "-11", "0x1"])
+def test_load_rejects_rows_that_are_not_exact_hex_digits(row):
+    assert load_text("1 12\n0aF\n").row_int(0) == 0xFa0
+    with pytest.raises(ParameterError):
+        load_text(f"1 12\n{row}\n")
+
+
+def test_load_rejects_set_pad_bits():
+    assert load_text("1 5\nf1\n").row_int(0) == 0b11111
+    with pytest.raises(ParameterError):
+        load_text("1 5\nf2\n")  # column 5 does not exist
+
+
+def test_load_rejects_text_after_the_last_row():
+    assert load_text("1 4\n1\n\n  \n") == BitMatrix.from_row_ints([1], 4)
+    with pytest.raises(ParameterError):
+        load_text("1 4\n1\n1\n")
+
+
 def test_budget_cap_on_dimensions():
     with pytest.raises(BudgetError):
         BitMatrix(1 << 17, 1 << 17)
 
 
 def test_sparse_compact_examples():
-    assert SparseBitMatrix([]).compact().rank() == 0
-    one = SparseBitMatrix([((5, 0), (0, 0))])
+    assert sparse([]).compact().rank() == 0
+    one = sparse([((5, 0), (0, 0))])
     m = one.compact()
     assert (m.rows, m.cols) == (1, 1)
     assert m.get(0, 0) == 1 and m.rank() == 1
@@ -202,9 +270,8 @@ def test_sparse_compact_coefficient_matrix_of_small_base_poly():
         ((0, 1), (0, 0)),
         ((0, 0), (0, 1)),
     ]
-    s = SparseBitMatrix(entries)
+    s = sparse(entries)
     assert s.nnz == 6
-    assert len(s.row_keys()) == 5 and len(s.col_keys()) == 5
     m = s.compact()
     assert (m.rows, m.cols) == (5, 5)
     # rows for x2 and y1^3 coincide: both are a lone 1 in column (0, 0)
@@ -218,11 +285,11 @@ def test_sparse_compact_deduplicates_and_matches_dense():
     for _ in range(60):
         entries.add(((int(rng.integers(0, 9)), int(rng.integers(0, 3))),
                      (int(rng.integers(0, 9)), int(rng.integers(0, 3)))))
-    s = SparseBitMatrix(list(entries) + list(entries))  # duplicates collapse
-    assert s.nnz == len(entries)
-    m = s.compact()
-    rkeys, ckeys = s.row_keys(), s.col_keys()
-    for (rk, ck) in s.entries():
+    m = sparse(list(entries) + list(entries)).compact()  # duplicates collapse
+    rkeys = sorted({rk for rk, _ in entries})
+    ckeys = sorted({ck for _, ck in entries})
+    assert (m.rows, m.cols) == (len(rkeys), len(ckeys))
+    for (rk, ck) in entries:
         assert m.get(rkeys.index(rk), ckeys.index(ck)) == 1
     assert m.count_ones() == len(entries)
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from storagecodes import carryfree
 from storagecodes.bitmatrix import BitMatrix
 from storagecodes.cli import main
 from storagecodes.field import GF2m
@@ -50,6 +51,15 @@ def test_nm_table_json_and_budget_error(capsys):
     code, _, err = run_cli(capsys, "nm-table", "--m-max", "15")
     assert code == 3
     assert "budget" in err
+
+
+def test_nm_table_rejects_m_max_before_enumerating(capsys, monkeypatch):
+    calls = []
+    b_values = carryfree._b_values
+    monkeypatch.setattr(carryfree, "_b_values", lambda s, r: calls.append(s) or b_values(s, r))
+    code, out, err = run_cli(capsys, "nm-table", "--m-max", "15")
+    assert (code, out, calls) == (3, "", [])
+    assert err.startswith("budget error:")
 
 
 def test_graph_check_triangle(capsys):

@@ -16,9 +16,10 @@ from storagecodes.graphs import (
     export_edges,
     is_connected,
     is_triangle_free_criterion,
-    span_rank,
     triangle_oracle,
 )
+
+from oracles import pivot_rank
 
 
 def test_params_validation():
@@ -118,10 +119,13 @@ def test_triangle_oracle_specific_values():
     assert not triangle_oracle(build_graph(FamilyParams(5, 2), GF2m(2)))
 
 
-def test_span_rank_helper():
-    assert span_rank([0b01, 0b10]) == 2
-    assert span_rank([0b11, 0b11, 0b01]) == 2
-    assert span_rank([0]) == 0
+def test_connectivity_equals_pivot_rank_of_connection_set():
+    for n in range(3, 16, 2):
+        for m in range(1, 6):
+            f = GF2m(m)
+            params = FamilyParams(n, m)
+            want = pivot_rank(connection_set(params, f).vectors) == 2 * m
+            assert is_connected(params, f) == want, (n, m)
 
 
 def test_connectivity_known_cases():

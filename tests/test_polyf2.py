@@ -126,12 +126,13 @@ def test_pow_mersenne_equals_repeated_multiplication():
 
 def test_coeff_matrix_entries():
     p = SparsePoly.from_monomials([(0, 1, 0, 0), (0, 0, 0, 1)])  # x2 + y2
-    s = coeff_matrix(p)
-    assert set(s.entries()) == {((0, 1), (0, 0)), ((0, 0), (0, 1))}
+    # rows (0, 0), (0, 1) and columns (0, 0), (0, 1) in sorted key order
+    assert coeff_matrix(p).compact().to_dense().tolist() == [[0, 1], [1, 0]]
     d3 = poly_d(3)
     s = coeff_matrix(d3)
     assert s.nnz == len(d3) == 6
-    assert len(s.row_keys()) == 5 and len(s.col_keys()) == 5
+    m = s.compact()
+    assert (m.rows, m.cols) == (5, 5)
 
 
 def test_poly_rank_of_base_polynomial():
