@@ -44,9 +44,9 @@ from .polyf2 import (
     coeff_matrix,
     eval_matrix,
     frobenius,
+    mersenne_powers,
     poly_d,
     poly_mul,
-    poly_pow_mersenne,
     poly_rank,
 )
 from .storage import (
@@ -91,6 +91,7 @@ __all__ = [
     "is_connected",
     "is_triangle_free_criterion",
     "lessdot",
+    "mersenne_powers",
     "multinomial_parity",
     "nm_bound",
     "nm_closed_form",
@@ -98,7 +99,6 @@ __all__ = [
     "nm_recurrence",
     "poly_d",
     "poly_mul",
-    "poly_pow_mersenne",
     "poly_rank",
     "sample_codewords",
     "smallest_irreducible",

@@ -62,6 +62,8 @@ def cmd_field_info(args) -> int:
 
 def cmd_nm_table(args) -> int:
     start = time.perf_counter()
+    if args.m_max < 0:
+        raise ParameterError(f"m_max={args.m_max}: need a non-negative integer")
     rows = []
     # largest m first: count_nm's budget check rejects --m-max before any enumeration
     for m in range(args.m_max, -1, -1):

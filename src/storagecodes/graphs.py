@@ -22,7 +22,7 @@ from .bitmatrix import BitMatrix
 from .errors import BudgetError, ParameterError, PropertyViolation
 from .field import GF2m
 
-#: default cap on num_vertices^2 bits of adjacency storage (2^31 bits = 256 MiB)
+#: default cap on num_vertices^2 bits of adjacency or dense matrix storage (2^31 bits = 256 MiB)
 DEFAULT_GRAPH_BUDGET_BITS = 1 << 31
 
 

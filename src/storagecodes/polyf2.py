@@ -23,7 +23,7 @@ every factor as small as d itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -159,17 +159,21 @@ def frobenius(p: SparsePoly, i: int) -> SparsePoly:
     factor = 1 << i
     if any(e * factor > EXP_MAX for e in p.max_exponents()):
         raise BudgetError(f"exponents * 2^{i} would exceed the {EXP_MAX} cap")
-    return SparsePoly(np.sort(p._codes * np.uint64(factor)))
+    # no field overflows, so scaling every code by 2^i keeps them strictly increasing
+    return SparsePoly(p._codes * np.uint64(factor))
 
 
-def poly_pow_mersenne(p: SparsePoly, t: int, budget: int = DEFAULT_MONOMIAL_BUDGET) -> SparsePoly:
-    """p^(2^t - 1) as the product of frobenius(p, i) for i = 0..t-1."""
-    if t < 1:
-        raise ParameterError("t must be a positive integer")
+def mersenne_powers(
+    p: SparsePoly, t_max: int, budget: int = DEFAULT_MONOMIAL_BUDGET
+) -> Iterator[SparsePoly]:
+    """Yield p^(2^t - 1) for t = 1..t_max, each the previous times frobenius(p, t - 1)."""
+    if t_max < 1:
+        raise ParameterError("t_max must be a positive integer")
     acc = p
-    for i in range(1, t):
+    yield acc
+    for i in range(1, t_max):
         acc = poly_mul(acc, frobenius(p, i), budget=budget)
-    return acc
+        yield acc
 
 
 def coeff_matrix(p: SparsePoly) -> SparseBitMatrix:
@@ -213,24 +217,34 @@ def eval_matrix(p: SparsePoly, field: GF2m, max_entries: int = 1 << 31) -> Field
 class CertificationResult:
     """Outcome of the low-rank certification search for one exponent n.
 
-    certified means rank(d^(2^t - 1)) < 4^t at the reported t, which bounds
-    the evaluation-matrix rank of every larger member of the family by a
-    vanishing fraction of its size via the factorisation of 2^m - 1 into
-    blocks of t doublings.  c_constant is the largest rank seen at the
-    earlier exponents 0 <= i < t (the multiplier of the resulting bound).
+    trace holds one (t, rank, threshold) row per exponent tried, and t,
+    poly_rank, threshold and certified read its last row.  certified means
+    rank(d^(2^t - 1)) < 4^t at that t, which bounds the evaluation-matrix
+    rank of every larger member of the family by a vanishing fraction of its
+    size via the factorisation of 2^m - 1 into blocks of t doublings.
+    c_constant is the largest rank seen at the earlier exponents 0 <= i < t
+    (the multiplier of the resulting bound), or at 0 <= i <= t if uncertified.
     """
 
     n: int
-    t: int
-    poly_rank: int
-    threshold: int
-    certified: bool
-    c_constant: int
     trace: tuple[tuple[int, int, int], ...]  # (t, rank, threshold)
+    c_constant: int
 
-    def __post_init__(self):
-        if self.certified != (self.poly_rank < self.threshold):
-            raise ParameterError("inconsistent certification result")
+    @property
+    def t(self) -> int:
+        return self.trace[-1][0]
+
+    @property
+    def poly_rank(self) -> int:
+        return self.trace[-1][1]
+
+    @property
+    def threshold(self) -> int:
+        return self.trace[-1][2]
+
+    @property
+    def certified(self) -> bool:
+        return self.poly_rank < self.threshold
 
 
 def certify_unit_rate(
@@ -245,42 +259,15 @@ def certify_unit_rate(
     n = 3.  On budget exhaustion the raised BudgetError carries the partial
     trace in its ``trace`` attribute.
     """
-    if n < 1 or n % 2 == 0:
-        raise ParameterError(f"n={n}: need an odd integer >= 1")
-    if t_max < 1:
-        raise ParameterError("t_max must be a positive integer")
-    base = poly_d(n)
     trace: list[tuple[int, int, int]] = []
-    earlier_ranks = [1]  # rank at i = 0: the constant polynomial
-    acc = base
-    for t in range(1, t_max + 1):
-        if t > 1:
-            try:
-                acc = poly_mul(acc, frobenius(base, t - 1), budget=budget)
-            except BudgetError as err:
-                err.trace = tuple(trace)
-                raise
-        rank_t = poly_rank(acc)
-        threshold = 4 ** t
-        trace.append((t, rank_t, threshold))
-        if rank_t < threshold:
-            return CertificationResult(
-                n=n,
-                t=t,
-                poly_rank=rank_t,
-                threshold=threshold,
-                certified=True,
-                c_constant=max(earlier_ranks),
-                trace=tuple(trace),
-            )
-        earlier_ranks.append(rank_t)
-    last_t, last_rank, last_threshold = trace[-1]
-    return CertificationResult(
-        n=n,
-        t=last_t,
-        poly_rank=last_rank,
-        threshold=last_threshold,
-        certified=False,
-        c_constant=max(earlier_ranks),
-        trace=tuple(trace),
-    )
+    try:
+        for t, power in enumerate(mersenne_powers(poly_d(n), t_max, budget), start=1):
+            trace.append((t, poly_rank(power), 4 ** t))
+            if trace[-1][1] < trace[-1][2]:
+                break
+    except BudgetError as err:
+        err.trace = tuple(trace)
+        raise
+    # the rank at i = 0 (the constant polynomial) is 1; only a certifying row has rank < threshold
+    c_constant = max([1] + [rank for _, rank, threshold in trace if rank >= threshold])
+    return CertificationResult(n=n, trace=tuple(trace), c_constant=c_constant)

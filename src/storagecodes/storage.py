@@ -13,8 +13,8 @@ For a family member (n, m) on the graph with vertex set GF(q)^2:
         evaluation, never by permuting W, so the rank equality between the
         two is a testable fact rather than a construction artifact.
 
-Matrices are built in row blocks with vectorised table lookups and packed
-straight into BitMatrix words; m <= 7 keeps them inside the bit budget.
+H and D are built in row blocks of vectorised table lookups by one packer, which
+raises BudgetError for m >= 8 (over DEFAULT_GRAPH_BUDGET_BITS) before allocating.
 """
 
 from __future__ import annotations
@@ -27,11 +27,22 @@ import numpy as np
 
 from .bitmatrix import BitMatrix
 from .carryfree import count_nm, nm_growth_bound_holds
-from .errors import ParameterError
+from .errors import BudgetError, ParameterError
 from .field import GF2m
-from .graphs import CayleyGraph, FamilyParams, connection_set, exponent_r_plus
+from .graphs import DEFAULT_GRAPH_BUDGET_BITS, CayleyGraph, FamilyParams, connection_set, exponent_r_plus
 
 _BLOCK_ROWS = 1024  # keeps the per-block xor table small even at m = 7
+
+
+def _pack_rows(n_vert: int, block) -> BitMatrix:
+    """The n_vert x n_vert matrix whose rows sl are the bool array block(sl)."""
+    if n_vert * n_vert > DEFAULT_GRAPH_BUDGET_BITS:
+        raise BudgetError(f"dense matrix needs {n_vert}^2 bits, over budget {DEFAULT_GRAPH_BUDGET_BITS}")
+    out = BitMatrix(n_vert, n_vert)
+    for r0 in range(0, n_vert, _BLOCK_ROWS):
+        sl = slice(r0, min(r0 + _BLOCK_ROWS, n_vert))
+        out.words[sl] = BitMatrix.from_dense(block(sl)).words
+    return out
 
 
 def coset_matrix(params: FamilyParams, field: GF2m) -> BitMatrix:
@@ -41,12 +52,7 @@ def coset_matrix(params: FamilyParams, field: GF2m) -> BitMatrix:
     indicator = np.zeros(n_vert, dtype=bool)
     indicator[list(conn.vectors)] = True
     ids = np.arange(n_vert, dtype=np.int32)
-    out = BitMatrix(n_vert, n_vert)
-    for r0 in range(0, n_vert, _BLOCK_ROWS):
-        chunk = ids[r0 : r0 + _BLOCK_ROWS]
-        block = indicator[np.bitwise_xor.outer(chunk, ids)]
-        out.words[r0 : r0 + block.shape[0]] = BitMatrix.from_dense(block).words
-    return out
+    return _pack_rows(n_vert, lambda sl: indicator[np.bitwise_xor.outer(ids[sl], ids)])
 
 
 def w_matrix(h: BitMatrix) -> BitMatrix:
@@ -67,13 +73,10 @@ def d_matrix(params: FamilyParams, field: GF2m) -> BitMatrix:
     x2 = ids & (q - 1)
     powers = field.pow_vec(np.arange(q, dtype=np.int64), params.n).astype(np.int32)
     shift = (x2 ^ powers[x1]).astype(np.int32)  # x2 + x1^n per vertex
-    out = BitMatrix(n_vert, n_vert)
-    for r0 in range(0, n_vert, _BLOCK_ROWS):
-        sl = slice(r0, min(r0 + _BLOCK_ROWS, n_vert))
-        cross = powers[np.bitwise_xor.outer(x1[sl], x1)]  # (x1+y1)^n
-        block = (cross ^ shift[sl][:, None] ^ shift[None, :]) != 0
-        out.words[sl] = BitMatrix.from_dense(block).words
-    return out
+    # (x1+y1)^n + (x2 + x1^n) + (y2 + y1^n) != 0
+    return _pack_rows(
+        n_vert, lambda sl: (powers[np.bitwise_xor.outer(x1[sl], x1)] ^ shift[sl, None] ^ shift) != 0
+    )
 
 
 @dataclass(frozen=True)

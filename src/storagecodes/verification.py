@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import bitmatrix, carryfree, graphs, polyf2, storage
+from .errors import ParameterError
 from .field import GF2m
 from .graphs import FamilyParams
 
@@ -334,6 +335,8 @@ def run_claim(claim: Claim, budget: str, seed: int = DEFAULT_SEED) -> ClaimResul
 
 def run_all(budget: str, seed: int = DEFAULT_SEED, sink=None) -> list[ClaimResult]:
     """Run every claim at the given budget, printing one line per claim."""
+    if seed < 0:
+        raise ParameterError(f"seed={seed}: need a non-negative integer")
     out = sink or io.StringIO()
     results = []
     for claim in claims_for_budget(budget):

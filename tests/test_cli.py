@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from storagecodes import carryfree
+from storagecodes import carryfree, storage, verification
 from storagecodes.bitmatrix import BitMatrix
 from storagecodes.cli import main
 from storagecodes.field import GF2m
@@ -62,6 +62,12 @@ def test_nm_table_rejects_m_max_before_enumerating(capsys, monkeypatch):
     assert err.startswith("budget error:")
 
 
+def test_nm_table_rejects_negative_m_max(capsys):
+    code, out, err = run_cli(capsys, "nm-table", "--m-max", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("parameter error:")
+
+
 def test_graph_check_triangle(capsys):
     doc = run_json(capsys, "graph", "--n", "5", "--m", "2", "--check")
     assert doc["triangle_free"] is False
@@ -83,6 +89,19 @@ def test_graph_parameter_error(capsys):
     code, _, err = run_cli(capsys, "graph", "--n", "4", "--m", "2")
     assert code == 2
     assert "odd" in err
+
+
+def test_dense_members_over_budget_exit_3(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense matrix was allocated")
+
+    monkeypatch.setattr(storage, "BitMatrix", refuse)
+    code, out, err = run_cli(capsys, "code-report", "--n", "3", "--m", "8")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget error:")
+    code, out, err = run_cli(capsys, "graph", "--n", "3", "--m", "8")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget error:")
 
 
 def test_code_report_json_schema(capsys):
@@ -164,3 +183,11 @@ def test_verify_all_quick_reports_known_failure(capsys):
     failing = [l for l in lines if l.startswith("FAIL")]
     assert len(failing) == 1
     assert "rank-ratio-trend" in failing[0]
+
+
+def test_verify_all_rejects_negative_seed_before_any_claim(capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(verification, "run_claim", lambda claim, *a: ran.append(claim.name))
+    code, out, err = run_cli(capsys, "verify-all", "--budget", "quick", "--seed", "-1")
+    assert (code, out, ran) == (2, "", [])
+    assert err.startswith("parameter error:")

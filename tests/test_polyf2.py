@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from storagecodes import polyf2
 from storagecodes.errors import BudgetError, ParameterError
 from storagecodes.field import GF2m
 from storagecodes.graphs import FamilyParams
@@ -13,9 +15,9 @@ from storagecodes.polyf2 import (
     coeff_matrix,
     eval_matrix,
     frobenius,
+    mersenne_powers,
     poly_d,
     poly_mul,
-    poly_pow_mersenne,
     poly_rank,
 )
 from storagecodes.storage import coset_matrix, w_matrix
@@ -25,6 +27,16 @@ from oracles import poly_mul_by_dict, span_rank
 
 def mono_set(p: SparsePoly) -> set:
     return set(p.monomials())
+
+
+def mersenne_power(p: SparsePoly, t: int) -> SparsePoly:
+    """p^(2^t - 1): the last power mersenne_powers yields."""
+    return list(mersenne_powers(p, t))[-1]
+
+
+def monomial_lists(max_monos=10, max_exp=6):
+    exps = st.integers(0, max_exp)
+    return st.lists(st.tuples(exps, exps, exps, exps), min_size=1, max_size=max_monos)
 
 
 def random_poly(rng, max_monos=10, max_exp=6) -> SparsePoly:
@@ -70,13 +82,13 @@ def test_mul_identity_and_frobenius_square():
     assert poly_mul(d3, d3) == frobenius(d3, 1)
 
 
-def test_mul_matches_dict_oracle():
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        p = random_poly(rng)
-        q = random_poly(rng)
-        want = poly_mul_by_dict(p.monomials(), q.monomials())
-        assert mono_set(poly_mul(p, q)) == want
+@settings(max_examples=200, deadline=None)
+@given(monomial_lists(), monomial_lists())
+def test_mul_matches_dict_oracle(p_monos, q_monos):
+    p = SparsePoly.from_monomials(p_monos)
+    q = SparsePoly.from_monomials(q_monos)
+    want = poly_mul_by_dict(p.monomials(), q.monomials())
+    assert mono_set(poly_mul(p, q)) == want
 
 
 def test_addition_is_symmetric_difference():
@@ -101,27 +113,52 @@ def test_frobenius_scales_exponents():
         frobenius(SparsePoly.from_monomials([(60000, 0, 0, 0)]), 1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(monomial_lists(max_exp=255), st.integers(1, 8))
+def test_frobenius_codes_strictly_increasing_property(monos, i):
+    # exponents <= 255 times 2^i <= 256 stay within the 16-bit fields
+    p = SparsePoly.from_monomials(monos)
+    fp = frobenius(p, i)
+    assert (fp._codes[1:] > fp._codes[:-1]).all()
+    assert fp.monomials() == [Monomial(*(e << i for e in m)) for m in p.monomials()]
+
+
 def test_pow_mersenne_small_cases():
     p = SparsePoly.from_monomials([(1, 0, 0, 0), (0, 0, 0, 0)])  # x1 + 1
-    assert poly_pow_mersenne(p, 1) == p
-    cube = poly_pow_mersenne(p, 2)
+    assert list(mersenne_powers(p, 1)) == [p]
+    first, cube = mersenne_powers(p, 2)
+    assert first == p
     assert mono_set(cube) == {
         Monomial(3, 0, 0, 0),
         Monomial(2, 0, 0, 0),
         Monomial(1, 0, 0, 0),
         Monomial(0, 0, 0, 0),
     }
+    with pytest.raises(ParameterError):
+        next(mersenne_powers(p, 0))
 
 
 def test_pow_mersenne_equals_repeated_multiplication():
     rng = np.random.default_rng(41)
     for _ in range(10):
         p = random_poly(rng, max_monos=4, max_exp=3)
-        for t in (1, 2, 3):
+        powers = list(mersenne_powers(p, 3))
+        assert len(powers) == 3
+        for t, power in enumerate(powers, start=1):
             slow = SparsePoly.one()
             for _ in range(2 ** t - 1):
                 slow = poly_mul(slow, p)
-            assert poly_pow_mersenne(p, t) == slow
+            assert power == slow, t
+
+
+def test_mersenne_powers_call_the_module_bindings(monkeypatch):
+    calls = []
+    mul, frob = polyf2.poly_mul, polyf2.frobenius
+    monkeypatch.setattr(polyf2, "poly_mul", lambda *a, **k: calls.append("mul") or mul(*a, **k))
+    monkeypatch.setattr(polyf2, "frobenius", lambda *a: calls.append("frob") or frob(*a))
+    monkeypatch.setattr(polyf2, "poly_rank", lambda p: calls.append("rank") or poly_rank(p))
+    certify_unit_rate(3, t_max=2)
+    assert calls == ["rank", "frob", "mul", "rank"]
 
 
 def test_coeff_matrix_entries():
@@ -221,7 +258,7 @@ def test_eval_of_full_power_is_the_complement_matrix():
         f = GF2m(m)
         q = 1 << m
         t = m  # 2^m - 1 = q - 1
-        full = poly_pow_mersenne(poly_d(3), t)
+        full = mersenne_power(poly_d(3), t)
         fm = eval_matrix(full, f)
         assert fm.is_binary()
         w = w_matrix(coset_matrix(FamilyParams(3, m), f))
@@ -252,9 +289,17 @@ def test_certify_reports_failure_without_a_certificate():
     res = certify_unit_rate(7, t_max=3)
     assert not res.certified
     assert res.t == 3 and res.threshold == 64
+    assert res.c_constant == 64  # an uncertified run counts the last rank as well
     assert res.poly_rank >= res.threshold
     assert [t for t, _, _ in res.trace] == [1, 2, 3]
     assert all(rank >= threshold for _, rank, threshold in res.trace)
+
+
+def test_certification_result_reads_the_last_trace_row():
+    res = certify_unit_rate(5, t_max=4)
+    assert (res.t, res.poly_rank, res.threshold) == res.trace[-1]
+    assert res.certified == (res.poly_rank < res.threshold)
+    assert all(rank >= threshold for _, rank, threshold in res.trace[:-1])
 
 
 def test_certify_budget_error_carries_partial_trace():
@@ -287,5 +332,5 @@ def test_submultiplicativity_chain():
     c, base_rank, t = res.c_constant, res.poly_rank, res.t
     for m in (3, 4):
         f = GF2m(m)
-        fm = eval_matrix(poly_pow_mersenne(poly_d(3), m), f)
+        fm = eval_matrix(mersenne_power(poly_d(3), m), f)
         assert fm.rank() <= c * base_rank ** math.ceil(m / t)

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from storagecodes import storage
 from storagecodes.carryfree import count_nm
-from storagecodes.errors import ParameterError
+from storagecodes.errors import BudgetError, ParameterError
 from storagecodes.field import GF2m
 from storagecodes.bitmatrix import BitMatrix
 from storagecodes.graphs import FamilyParams, build_graph
@@ -33,6 +34,26 @@ def test_coset_matrix_symmetric_with_unit_diagonal():
         assert dense.diagonal().all()
         # each row is the indicator of a coset, so has weight q
         assert (dense.sum(axis=1) == 1 << m).all()
+
+
+class DenseAllocation(Exception):
+    """Raised in place of building a BitMatrix, so no test allocates one."""
+
+
+@pytest.fixture
+def no_dense(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise DenseAllocation
+
+    monkeypatch.setattr(storage, "BitMatrix", refuse)
+
+
+@pytest.mark.parametrize("build", [coset_matrix, d_matrix])
+def test_dense_budget_is_checked_before_allocating(no_dense, build):
+    with pytest.raises(BudgetError):
+        build(FamilyParams(3, 8), GF2m(8))
+    with pytest.raises(DenseAllocation):  # 16384^2 bits is inside the budget
+        build(FamilyParams(3, 7), GF2m(7))
 
 
 def test_w_matrix_involution_and_sandwich():
