@@ -23,7 +23,11 @@ SparseBitMatrix holds only the positions of 1-entries, as packed uint64 keys
 of integer pairs (for coefficient matrices the keys are exponent pairs); a
 position listed twice is still one 1-entry.  Ranks are
 invariant under dropping all-zero rows and columns, so ``compact`` maps the
-occupied keys, in sorted order, onto a dense BitMatrix.
+occupied keys, in sorted order, onto a dense BitMatrix.  ``rank`` splits the
+matrix into the connected components of its row-column graph first: the
+matrix is block diagonal up to a permutation, so its rank is the sum of the
+block ranks, and each block is compacted and eliminated on its own (the
+certificate coefficient matrices of about 30000 rows have no block over 76 rows).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import BudgetError, ParameterError
 
 WORD = 64
 MAX_BITS = 1 << 33  # rows * cols cap; 2^33 bits = 1 GiB packed
-_DENSE_BITS = 1 << 28  # cap for operations that expand to one byte per bit
+DENSE_BITS = 1 << 28  # byte cap for dense expansions (one byte per bit) and polyf2.eval_matrix
 
 
 def _words_per_row(cols: int) -> int:
@@ -143,7 +147,7 @@ class BitMatrix:
         return int.from_bytes(self.words[i].tobytes(), "little")
 
     def to_dense(self) -> np.ndarray:
-        if self.rows * self.cols > _DENSE_BITS:
+        if self.rows * self.cols > DENSE_BITS:
             raise BudgetError("dense expansion beyond the byte-per-bit cap")
         if self.rows == 0 or self.cols == 0:
             return np.zeros((self.rows, self.cols), dtype=np.uint8)
@@ -363,3 +367,45 @@ class SparseBitMatrix:
         bits = np.uint64(1) << (cidx.astype(np.uint64) & np.uint64(63))
         np.bitwise_or.at(w, flat, bits)
         return out
+
+    def rank(self) -> int:
+        """GF(2) rank, summed over the connected blocks of the row-column graph.
+
+        Rows and columns in different components share no entry, so permuting
+        them makes the matrix block diagonal and the rank is the sum of the
+        block ranks.  A block with one row or one column has rank 1; every
+        other block is compacted and eliminated on its own.
+        """
+        if self.nnz == 0:
+            return 0
+        urows, r = np.unique(self._row_keys, return_inverse=True)
+        ucols, c = np.unique(self._col_keys, return_inverse=True)
+        R = int(urows.size)
+        c = c + R  # rows are nodes 0..R-1, columns R..R+C-1
+        # min-label propagation with one pointer jump per round; labels only
+        # decrease and stay inside their component, so the fixpoint gives each
+        # component one label
+        label = np.arange(R + int(ucols.size))
+        while True:
+            low = np.minimum(label[r], label[c])
+            new = label.copy()
+            np.minimum.at(new, r, low)
+            np.minimum.at(new, c, low)
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        rows_in = np.bincount(label[:R], minlength=label.size)
+        cols_in = np.bincount(label[R:], minlength=label.size)
+        single = (rows_in == 1) | (cols_in == 1)
+        total = int(np.count_nonzero(single))
+        comp = label[r]
+        idx = np.flatnonzero(~single[comp])  # entries of the blocks left to eliminate
+        if idx.size:
+            idx = idx[np.argsort(comp[idx], kind="stable")]
+            cuts = np.flatnonzero(np.diff(comp[idx])) + 1
+            row_blocks = np.split(self._row_keys[idx], cuts)
+            col_blocks = np.split(self._col_keys[idx], cuts)
+            for rk, ck in zip(row_blocks, col_blocks):
+                total += SparseBitMatrix(rk, ck).compact().rank()
+        return total

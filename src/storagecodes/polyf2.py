@@ -14,7 +14,11 @@ instead of corrupting neighbours.
 
 The certification route never leaves coefficient space: rank(p) is the
 GF(2) rank of the coefficient matrix of p, whose rows are indexed by
-(e_x1, e_x2) and columns by (e_y1, e_y2).  Squaring in characteristic 2
+(e_x1, e_x2) and columns by (e_y1, e_y2).  That matrix splits into small
+connected blocks (the torus grading of the polynomial method keeps
+monomials of different weights apart), and ``SparseBitMatrix.rank`` ranks
+each block on its own; the flat ``coeff_matrix(p).compact().rank()`` is the
+reference it is tested against.  Squaring in characteristic 2
 doubles exponents, which only relabels rows and columns, so d^(2^t - 1) is
 expanded as the product of the t doubled copies d^(2^i), i < t, keeping
 every factor as small as d itself.
@@ -27,7 +31,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .bitmatrix import SparseBitMatrix
+from .bitmatrix import DENSE_BITS, SparseBitMatrix
 from .errors import BudgetError, ParameterError
 from .field import FieldMatrix, GF2m
 
@@ -184,8 +188,8 @@ def coeff_matrix(p: SparsePoly) -> SparseBitMatrix:
 
 
 def poly_rank(p: SparsePoly) -> int:
-    """GF(2) rank of the compacted coefficient matrix."""
-    return coeff_matrix(p).compact().rank()
+    """GF(2) rank of the coefficient matrix, ranked block by block."""
+    return coeff_matrix(p).rank()
 
 
 def eval_matrix(p: SparsePoly, field: GF2m, max_entries: int = 1 << 31) -> FieldMatrix:
@@ -193,13 +197,19 @@ def eval_matrix(p: SparsePoly, field: GF2m, max_entries: int = 1 << 31) -> Field
 
     Entries are field elements, so the result is a FieldMatrix and its
     ``.rank()`` is the rank over the field.  Work is |monomials| * q^4
-    table lookups, capped by max_entries.
+    table lookups, capped by max_entries; the 8 * q^4-byte int64
+    accumulator is capped by the byte-per-bit cap ``DENSE_BITS`` of
+    bitmatrix, which stops m >= 7 before anything is allocated.
     """
     q = field.q
     n_vert = q * q
     if len(p) * n_vert * n_vert > max_entries:
         raise BudgetError(
             f"evaluating {len(p)} monomials on a {n_vert}x{n_vert} grid exceeds the budget"
+        )
+    if 8 * n_vert * n_vert > DENSE_BITS:
+        raise BudgetError(
+            f"a {n_vert}x{n_vert} int64 evaluation matrix exceeds the {DENSE_BITS}-byte cap"
         )
     ids = np.arange(n_vert, dtype=np.int64)
     hi = ids >> field.m

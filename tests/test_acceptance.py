@@ -11,7 +11,8 @@ oracle in test_storage/test_bitmatrix).  The assertion is kept strict
 rather than weakened to "non-increasing"; the ratio does decrease strictly
 from the second size onward.
 
-The two long certificates run only under ``pytest -m extended``.
+The ``certificates-extended`` claim (n = 11 and n = 13) runs only under
+``pytest -m extended``; test_polyf2 pins the same rank traces in the default run.
 """
 
 import pytest

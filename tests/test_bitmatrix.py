@@ -304,3 +304,64 @@ def test_rank_at_thirty_thousand_dimensions_within_memory():
     big.words = np.tile(base.words, (reps, 1))[:n]
     assert big.words.nbytes <= 128 * 2 ** 20
     assert big.rank() == base.rank()
+
+
+def key_array(values) -> np.ndarray:
+    # spread small draws over the whole uint64 range, so keys 0 and 2^64 - 1 both occur
+    return np.array(values, dtype=np.uint64) * np.uint64(0x1111111111111111)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=80), st.data())
+def test_block_rank_equals_flat_rank_on_random_keys(entries, data):
+    if entries:  # list some positions a second time
+        entries = entries + data.draw(st.lists(st.sampled_from(entries), max_size=20))
+    rows = key_array([r for r, _ in entries])
+    cols = key_array([c for _, c in entries])
+    assert SparseBitMatrix(rows, cols).rank() == SparseBitMatrix(rows, cols).compact().rank()
+
+
+def dense_blocks(max_blocks=8, max_side=6):
+    side = st.integers(1, max_side)
+    block = st.tuples(side, side).flatmap(
+        lambda rc: st.lists(st.lists(st.booleans(), min_size=rc[1], max_size=rc[1]),
+                            min_size=rc[0], max_size=rc[0])
+    )
+    return st.lists(block, max_size=max_blocks)
+
+
+def shuffled_block_diagonal(blocks, seed):
+    """Keys of the block-diagonal matrix of the given blocks, relabelled and shuffled."""
+    rows, cols = [], []
+    r0 = c0 = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, bit in enumerate(row):
+                if bit:
+                    rows.append(r0 + i)
+                    cols.append(c0 + j)
+        r0 += len(block)
+        c0 += len(block[0])
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(len(rows))
+    rows = rng.permutation(max(r0, 1))[np.array(rows, dtype=np.int64)][order]
+    cols = rng.permutation(max(c0, 1))[np.array(cols, dtype=np.int64)][order]
+    return SparseBitMatrix(key_array(rows), key_array(cols))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_blocks(), st.integers(0, 2 ** 32 - 1))
+def test_block_rank_of_shuffled_block_diagonal_matrices(blocks, seed):
+    s = shuffled_block_diagonal(blocks, seed)
+    want = sum(pivot_rank(int("".join("1" if b else "0" for b in row), 2) for row in block)
+               for block in blocks)
+    assert s.rank() == s.compact().rank() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 9)), max_size=12), st.integers(0, 2 ** 32 - 1))
+def test_block_rank_of_single_row_and_single_column_blocks(shapes, seed):
+    # every block is 1 x k or k x 1 with all entries set, so each adds exactly 1
+    blocks = [[[True] * k] if wide else [[True]] * k for wide, k in shapes]
+    s = shuffled_block_diagonal(blocks, seed)
+    assert s.rank() == s.compact().rank() == len(blocks)

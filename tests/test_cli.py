@@ -154,7 +154,6 @@ def test_certify_json(capsys):
     assert "elapsed_ms" in doc
 
 
-@pytest.mark.slow
 def test_certify_full_run_for_n7(capsys):
     doc = run_json(capsys, "certify", "--n", "7", "--t-max", "6")
     assert doc["certified"] is True and doc["t_star"] == 6

@@ -233,6 +233,29 @@ def test_eval_rank_equals_coeff_rank_when_field_is_large():
             assert eval_matrix(p, f).rank() == poly_rank(p)
 
 
+@st.composite
+def weighted_homogeneous_polys(draw):
+    """Monomials x1^a x2^b y1^c y2^d of one weighted degree a + w*b + c + w*d = D."""
+    w, D = draw(st.integers(1, 4)), draw(st.integers(0, 12))
+    monos = []
+    for _ in range(draw(st.integers(1, 24))):
+        b = draw(st.integers(0, D // w))
+        d = draw(st.integers(0, (D - w * b) // w))
+        a = draw(st.integers(0, D - w * (b + d)))
+        monos.append((a, b, D - w * (b + d) - a, d))
+    return SparsePoly.from_monomials(monos)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_homogeneous_polys())
+def test_block_rank_equals_flat_rank_on_weighted_homogeneous_polys(p):
+    assert poly_rank(p) == coeff_matrix(p).compact().rank()
+    for m in (3, 4):  # evaluation rank equals coefficient rank once every degree is < q
+        if max(p.max_exponents()) < 1 << m:
+            assert eval_matrix(p, GF2m(m)).rank() == poly_rank(p)
+            break
+
+
 def test_eval_rank_invariant_under_frobenius():
     rng = np.random.default_rng(53)
     f = GF2m(3)
@@ -268,6 +291,25 @@ def test_eval_of_full_power_is_the_complement_matrix():
 def test_eval_budget():
     with pytest.raises(BudgetError):
         eval_matrix(poly_d(3), GF2m(3), max_entries=10)
+
+
+def test_eval_accumulator_is_checked_before_allocating(monkeypatch):
+    # m = 7 passes the work budget but its int64 accumulator would take 2 GiB
+    fields = {m: GF2m(m) for m in (2, 3, 4, 7)}
+    zeros, shapes = np.zeros, []
+
+    def recording_zeros(shape, *args, **kwargs):
+        shapes.append(shape)
+        assert np.prod(shape) <= 1 << 16, f"np.zeros{shape} reached"  # never the 2 GiB one
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", recording_zeros)
+    with pytest.raises(BudgetError):
+        eval_matrix(SparsePoly.one(), fields[7])
+    assert shapes == []
+    for m in (2, 3, 4):
+        assert (eval_matrix(SparsePoly.one(), fields[m]).values == 1).all()
+        assert (4 ** m, 4 ** m) in shapes
 
 
 def test_certify_degenerate_and_base_cases():
@@ -309,7 +351,6 @@ def test_certify_budget_error_carries_partial_trace():
     assert len(err.value.trace) >= 1
 
 
-@pytest.mark.slow
 def test_certify_trace_regression_n7():
     # full rank trace for n = 7, frozen after first computation; only the
     # final entry is pinned by an external value, the rest are regression
@@ -323,6 +364,25 @@ def test_certify_trace_regression_n7():
         (6, 3256, 4096),
     )
     assert res.certified and res.c_constant == 1048
+
+
+def test_block_rank_equals_flat_rank_for_n7_at_every_t():
+    for t, power in enumerate(mersenne_powers(poly_d(7), 6), start=1):
+        assert poly_rank(power) == coeff_matrix(power).compact().rank(), t
+
+
+@pytest.mark.parametrize(
+    "n, ranks",
+    [
+        (11, (8, 28, 102, 330, 1198, 4154, 15018)),
+        (13, (8, 34, 94, 302, 1212, 4444, 14442)),
+    ],
+)
+def test_certify_trace_regression_n11_n13(n, ranks):
+    # the long certificates: only t = 7 certifies, with the ranks the extended claim pins
+    res = certify_unit_rate(n, t_max=7)
+    assert res.trace == tuple((t, rank, 4 ** t) for t, rank in enumerate(ranks, start=1))
+    assert res.certified and res.t == 7
 
 
 def test_submultiplicativity_chain():
