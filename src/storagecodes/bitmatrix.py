@@ -164,9 +164,6 @@ class BitMatrix:
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
 
-    def count_ones(self) -> int:
-        return int(np.bitwise_count(self.words).sum())
-
     # -- elementwise ops ------------------------------------------------
 
     def complement(self) -> "BitMatrix":
@@ -202,20 +199,6 @@ class BitMatrix:
                     r |= b << (j1 * other.cols)
                 out.append(r)
         return BitMatrix.from_row_ints(out, cols)
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_dense(self.to_dense().T)
-
-    def mat_vec(self, v: int) -> int:
-        """Matrix-vector product over GF(2); v is a little-endian bit int."""
-        if v < 0 or v >> self.cols:
-            raise ParameterError(f"vector does not fit in {self.cols} coordinates")
-        vw = _int_to_words(v, self.cols)
-        parities = np.bitwise_count(self.words & vw).sum(axis=1) & 1
-        out = 0
-        for i in np.nonzero(parities)[0]:
-            out |= 1 << int(i)
-        return out
 
     # -- elimination ----------------------------------------------------
 

@@ -124,9 +124,6 @@ class GF2m:
     def elements(self) -> range:
         return range(self.q)
 
-    def nonzero_elements(self) -> range:
-        return range(1, self.q)
-
     def mul(self, a: int, b: int) -> int:
         """Carry-less product of a and b reduced modulo the field modulus."""
         a = self.check_element(a)
@@ -269,9 +266,6 @@ class FieldMatrix:
         if self.field != other.field or self.shape != other.shape:
             raise ParameterError("add needs equal fields and shapes")
         return FieldMatrix(self.field, self.values ^ other.values)
-
-    def is_binary(self) -> bool:
-        return self.values.size == 0 or self.values.max() <= 1
 
     def rank(self) -> int:
         """Rank over GF(2^m) by Gaussian elimination with the log tables."""

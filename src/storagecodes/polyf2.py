@@ -21,7 +21,8 @@ each block on its own; the flat ``coeff_matrix(p).compact().rank()`` is the
 reference it is tested against.  Squaring in characteristic 2
 doubles exponents, which only relabels rows and columns, so d^(2^t - 1) is
 expanded as the product of the t doubled copies d^(2^i), i < t, keeping
-every factor as small as d itself.
+every factor as small as d itself.  At t = m it is d^(q - 1), q = 2^m, the
+indicator of d != 0 over GF(q); ``storage.code_report`` ranks it after ``reduce_mod``.
 """
 
 from __future__ import annotations
@@ -178,6 +179,22 @@ def mersenne_powers(
     for i in range(1, t_max):
         acc = poly_mul(acc, frobenius(p, i), budget=budget)
         yield acc
+
+
+def reduce_mod(p: SparsePoly, m: int) -> SparsePoly:
+    """p mod x^q - x in every variable, q = 2^m: the same function on GF(q)^4.
+
+    Exponents e >= 1 become ((e - 1) mod (q - 1)) + 1 and collisions cancel; reduced
+    monomials are a basis of the functions, so coefficient rank = evaluation rank.
+    """
+    if m < 1:
+        raise ParameterError(f"m={m}: the field degree must be positive")
+    period = np.uint64((1 << m) - 1)
+    codes = np.zeros_like(p._codes)
+    for sh in _SHIFTS:
+        e = (p._codes >> np.uint64(sh)) & np.uint64(EXP_MAX)
+        codes |= np.where(e > 0, (e - 1) % period + 1, e) << np.uint64(sh)
+    return SparsePoly(_xor_reduce(codes))
 
 
 def coeff_matrix(p: SparsePoly) -> SparseBitMatrix:

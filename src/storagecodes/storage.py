@@ -1,20 +1,20 @@
 """Parity-check matrices of the graph codes and their rank reports.
 
-For a family member (n, m) on the graph with vertex set GF(q)^2:
+For a family member (n, m) on the graph with vertex set GF(q)^2, q = 2^m,
+and d = (x1+y1)^n + x2 + y2 (polyf2.poly_d):
 
-    H   coset matrix: H[x][y] = 1 iff x XOR y is a connection vector.
-        Equals adjacency + identity, and is the parity-check matrix of the
-        storage code (the code is its kernel).
-    W   entrywise complement of H (H plus the all-one matrix over GF(2)),
-        whose rank differs from rank(H) by at most 1.
-    D   the same indicator after the row/column relabelling
-        (x1, x2) -> (x1, x2 + x1^n):  D[x][y] = 1 iff
-        (x1+y1)^n + (x2 + x1^n) + (y2 + y1^n) != 0.  D is built by direct
-        evaluation, never by permuting W, so the rank equality between the
-        two is a testable fact rather than a construction artifact.
+    H   coset matrix: H[x][y] = 1 iff x XOR y is a connection vector, i.e.
+        iff d(x, y) = 0; adjacency + identity, the parity-check matrix of
+        the storage code (the code is its kernel).
+    W   entrywise complement of H, the indicator of d != 0 (d^(q-1) over
+        GF(q)); its rank differs from rank(H) by at most 1.
+    D   the indicator of d + x1^n + y1^n != 0, i.e. W after the relabelling
+        (x1, x2) -> (x1, x2 + x1^n), evaluated directly, never permuted from W.
 
-H and D are built in row blocks of vectorised table lookups by one packer, which
-raises BudgetError for m >= 8 (over DEFAULT_GRAPH_BUDGET_BITS) before allocating.
+One packer builds H and D in row blocks and raises BudgetError for m >= 8
+(over DEFAULT_GRAPH_BUDGET_BITS) before allocating.  ``code_report`` ranks
+H densely and W, D as reduced Fermat powers (polyf2.reduce_mod); the
+polynomial rank of 1 + red(d^(q-1)) must equal the dense rank of H.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ import numpy as np
 
 from .bitmatrix import BitMatrix
 from .carryfree import count_nm, nm_growth_bound_holds
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, ParameterError, PropertyViolation
 from .field import GF2m
 from .graphs import DEFAULT_GRAPH_BUDGET_BITS, CayleyGraph, FamilyParams, connection_set, exponent_r_plus
+from .polyf2 import SparsePoly, mersenne_powers, poly_d, poly_rank, reduce_mod
 
 _BLOCK_ROWS = 1024  # keeps the per-block xor table small even at m = 7
 
@@ -123,18 +124,31 @@ class CodeReport:
         }
 
 
+def _indicator(delta: SparsePoly, m: int) -> SparsePoly:
+    """red(delta^(q-1)) = [delta != 0]; reducing delta first keeps the products small."""
+    *_, power = mersenne_powers(reduce_mod(delta, m), m)
+    return reduce_mod(power, m)
+
+
 def code_report(params: FamilyParams, field: GF2m | None = None) -> CodeReport:
-    """Assemble ranks of H, W, D plus the exact bound comparisons."""
+    """Ranks of H (dense, first, cross-checked), W and D (polynomial) plus the bounds."""
     if field is None:
         field = GF2m(params.m)
     h = coset_matrix(params, field)
     rank_h = h.rank()
-    rank_w = w_matrix(h).rank()
-    rank_d = d_matrix(params, field).rank()
+    n, m, period = params.n, params.m, (1 << params.m) - 1
+    e = (n - 1) % period + 1  # a^n = a^e on GF(q), and e < 2q keeps poly_d(e) small
+    e += period if e % 2 == 0 else 0  # poly_d needs an odd e; q - 1 is odd
+    w = _indicator(poly_d(e), m)
+    rank_w = poly_rank(w)
+    if (poly_rank_h := poly_rank(w + SparsePoly.one())) != rank_h:
+        raise PropertyViolation(f"n={n} m={m}: dense rank(H)={rank_h}, polynomial {poly_rank_h}")
+    delta_d = poly_d(e) + SparsePoly.from_monomials([(e, 0, 0, 0), (0, 0, e, 0)])  # + x1^e + y1^e
+    rank_d = poly_rank(_indicator(delta_d, m))
     size = h.rows
     dimension = size - rank_h
-    r = exponent_r_plus(params.n)
-    n_m = count_nm(params.m, r) if r is not None else None
+    r = exponent_r_plus(n)
+    n_m = count_nm(m, r) if r is not None else None
     return CodeReport(
         params=params,
         size=size,
@@ -148,7 +162,7 @@ def code_report(params: FamilyParams, field: GF2m | None = None) -> CodeReport:
         sandwich_ok=abs(rank_h - rank_w) <= 1,
         substitution_ok=rank_w == rank_d,
         nm_ok=(rank_d <= n_m) if n_m is not None else None,
-        closed_form_ok=nm_growth_bound_holds(params.m, n_m) if r == 1 else None,
+        closed_form_ok=nm_growth_bound_holds(m, n_m) if r == 1 else None,
     )
 
 

@@ -127,28 +127,20 @@ def claim_rank_sandwich_substitution(budget: str, seed: int):
     top = 4 if budget == QUICK else 5
     details = []
     for m in range(1, top + 1):
-        f = GF2m(m)
-        params = FamilyParams(3, m)
-        h = storage.coset_matrix(params, f)
-        rank_h = h.rank()
-        rank_w = storage.w_matrix(h).rank()
-        rank_d = storage.d_matrix(params, f).rank()
-        details.append((m, rank_h, rank_w, rank_d))
-        if abs(rank_h - rank_w) > 1 or rank_w != rank_d:
-            return False, f"fails at m={m}: H={rank_h} W={rank_w} D={rank_d}"
+        rep = storage.code_report(FamilyParams(3, m))
+        details.append((m, rep.rank_h, rep.rank_w, rep.rank_d))
+        if not (rep.sandwich_ok and rep.substitution_ok):
+            return False, f"fails at m={m}: H={rep.rank_h} W={rep.rank_w} D={rep.rank_d}"
     return True, "ranks " + " ".join(f"m={m}:{h}/{w}/{d}" for m, h, w, d in details)
 
 
 def claim_rank_counting_bound(budget: str, seed: int):
     """rank(D) <= N_m for n = 3 (r=1) and n = 5, 9 (r = 2, 3)."""
-    cases = [(3, 1, 4 if budget == QUICK else 5), (5, 2, 4), (9, 3, 4)]
-    for n, r, top in cases:
+    for n, top in ((3, 4 if budget == QUICK else 5), (5, 4), (9, 4)):
         for m in range(1, top + 1):
-            f = GF2m(m)
-            rank_d = storage.d_matrix(FamilyParams(n, m), f).rank()
-            n_m = carryfree.count_nm(m, r)
-            if rank_d > n_m:
-                return False, f"n={n} m={m}: rank(D)={rank_d} > N_m={n_m}"
+            rep = storage.code_report(FamilyParams(n, m))
+            if not rep.nm_ok:
+                return False, f"n={n} m={m}: rank(D)={rep.rank_d} > N_m={rep.n_m}"
     return True, "all pairs inside the monomial-count bound"
 
 

@@ -7,6 +7,8 @@ and set constructions from quadratic scans.
 
 import math
 
+from storagecodes.bitmatrix import BitMatrix
+
 
 def span_rank(row_ints) -> int:
     """log2 of the number of distinct GF(2) combinations of the rows.
@@ -33,6 +35,20 @@ def pivot_rank(row_ints) -> int:
                 rank += 1
                 break
     return rank
+
+
+def mat_vec(matrix: BitMatrix, v: int) -> int:
+    """Matrix-vector product over GF(2), row by row on Python ints.
+
+    v and the result are little-endian bit ints (bit j = coordinate j); a v
+    with a bit beyond the last column is a caller's bug, not a vector.
+    """
+    assert 0 <= v and not v >> matrix.cols, "vector does not fit the columns"
+    return sum(((matrix.row_int(i) & v).bit_count() & 1) << i for i in range(matrix.rows))
+
+
+def transpose(matrix: BitMatrix) -> BitMatrix:
+    return BitMatrix.from_dense(matrix.to_dense().T)
 
 
 def multinomial_parity_by_factorials(n: int, parts) -> int:

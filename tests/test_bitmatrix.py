@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from storagecodes.bitmatrix import BitMatrix, SparseBitMatrix
 from storagecodes.errors import BudgetError, ParameterError
 
-from oracles import pivot_rank, span_rank
+from oracles import mat_vec, pivot_rank, span_rank, transpose
 
 # the 4x4 coset matrix of the smallest family member: rows e_x + e_{x^3}
 H4_ROWS = [0b1001, 0b0110, 0b0110, 0b1001]
@@ -57,7 +57,7 @@ def test_kernel_on_wide_matrices():
     m = BitMatrix.random(30, 100, rng)
     basis = m.kernel_basis()
     assert m.rank() + len(basis) == 100
-    assert all(m.mat_vec(v) == 0 for v in basis)
+    assert all(mat_vec(m, v) == 0 for v in basis)
     assert pivot_rank(basis) == len(basis)
 
 
@@ -67,7 +67,7 @@ def test_rank_transpose_and_permutation_invariance():
         size = int(rng.integers(1, 65))
         m = BitMatrix.random(size, size, rng)
         r = m.rank()
-        assert m.transpose().rank() == r
+        assert transpose(m).rank() == r
         dense = m.to_dense()
         perm_r = rng.permutation(size)
         perm_c = rng.permutation(size)
@@ -84,11 +84,11 @@ def test_kernel_identity_zero_and_coset_example():
     basis = h.kernel_basis()
     assert len(basis) == 2
     # brute force: exactly 4 of the 16 vectors lie in the kernel
-    kernel = {v for v in range(16) if h.mat_vec(v) == 0}
+    kernel = {v for v in range(16) if mat_vec(h, v) == 0}
     assert len(kernel) == 4
     assert {a ^ b for a in [0] + basis for b in [0] + basis} <= kernel
     for v in basis:
-        assert h.mat_vec(v) == 0
+        assert mat_vec(h, v) == 0
 
 
 def test_kernel_when_the_all_zero_early_exit_fires():
@@ -100,7 +100,7 @@ def test_kernel_when_the_all_zero_early_exit_fires():
     m = BitMatrix.from_dense(dense)
     basis = m.kernel_basis()
     assert len(basis) == m.cols - m.rank()
-    assert all(m.mat_vec(v) == 0 for v in basis)
+    assert all(mat_vec(m, v) == 0 for v in basis)
     assert pivot_rank(basis) == len(basis)
 
 
@@ -112,7 +112,7 @@ def test_rank_plus_kernel_dimension_is_cols():
         m = BitMatrix.random(rows, cols, rng)
         basis = m.kernel_basis()
         assert m.rank() + len(basis) == cols
-        assert all(m.mat_vec(v) == 0 for v in basis)
+        assert all(mat_vec(m, v) == 0 for v in basis)
         assert pivot_rank(basis) == len(basis)
 
 
@@ -180,11 +180,9 @@ def test_mat_vec_against_popcount():
     m = BitMatrix.random(10, 33, rng)
     for _ in range(30):
         v = int(rng.integers(0, 1 << 33))
-        want = 0
-        for i in range(10):
-            if bin(m.row_int(i) & v).count("1") & 1:
-                want |= 1 << i
-        assert m.mat_vec(v) == want
+        bits = np.array([(v >> j) & 1 for j in range(33)])
+        parities = (m.to_dense().astype(int) @ bits) % 2
+        assert mat_vec(m, v) == sum(int(p) << i for i, p in enumerate(parities))
 
 
 def test_dump_format_exact_and_round_trip():
@@ -291,7 +289,7 @@ def test_sparse_compact_deduplicates_and_matches_dense():
     assert (m.rows, m.cols) == (len(rkeys), len(ckeys))
     for (rk, ck) in entries:
         assert m.get(rkeys.index(rk), ckeys.index(ck)) == 1
-    assert m.count_ones() == len(entries)
+    assert int(m.to_dense().sum()) == len(entries)
 
 
 @pytest.mark.slow

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from storagecodes import carryfree, storage, verification
+from storagecodes import carryfree, polyf2, storage, verification
 from storagecodes.bitmatrix import BitMatrix
 from storagecodes.cli import main
 from storagecodes.field import GF2m
@@ -102,6 +102,43 @@ def test_dense_members_over_budget_exit_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "graph", "--n", "3", "--m", "8")
     assert (code, out) == (3, "")
     assert err.startswith("budget error:")
+
+
+class ProductFormed(Exception):
+    """Raised in place of a polynomial product."""
+
+
+@pytest.mark.parametrize("m", ["8", "9"])
+def test_code_report_rejects_before_any_product(capsys, monkeypatch, m):
+    def refuse(*args, **kwargs):
+        raise ProductFormed
+
+    monkeypatch.setattr(polyf2, "poly_mul", refuse)
+    with pytest.raises(ProductFormed):  # the stub is on the path of a member inside the budget
+        storage.code_report(FamilyParams(3, 2))
+    code, out, err = run_cli(capsys, "code-report", "--n", "3", "--m", m)
+    assert (code, out) == (3, "")
+    assert err.startswith("budget error:")
+
+
+def test_code_report_exits_4_when_the_rank_routes_disagree(capsys, monkeypatch):
+    monkeypatch.setattr(storage, "poly_rank", lambda p: polyf2.poly_rank(p) + 1)
+    code, out, err = run_cli(capsys, "code-report", "--n", "3", "--m", "2")
+    assert (code, out) == (4, "")
+    assert err.startswith("property violation:")
+
+
+def test_code_report_builds_d_only_for_its_dump(capsys, monkeypatch, tmp_path):
+    calls = []
+    d_matrix = storage.d_matrix
+    monkeypatch.setattr(storage, "d_matrix", lambda *a: calls.append(a) or d_matrix(*a))
+    run_json(capsys, "code-report", "--n", "3", "--m", "2")
+    assert calls == []
+    path = tmp_path / "d.txt"
+    run_json(capsys, "code-report", "--n", "3", "--m", "2", "--dump", "D", "--dump-path", str(path))
+    assert len(calls) == 1
+    with open(path) as fh:
+        assert BitMatrix.load(fh) == d_matrix(FamilyParams(3, 2), GF2m(2))
 
 
 def test_code_report_json_schema(capsys):

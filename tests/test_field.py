@@ -85,7 +85,7 @@ def test_field_axioms_exhaustive(m):
 
 def test_pow_small_field_identities():
     f4 = GF2m(2)
-    for a in f4.nonzero_elements():
+    for a in range(1, f4.q):
         assert f4.pow(a, 3) == 1
     f8 = GF2m(3)
     for a in f8.elements():
@@ -97,7 +97,7 @@ def test_pow_small_field_identities():
 @pytest.mark.parametrize("m", range(1, 9))
 def test_pow_order_divides_group_order(m):
     f = GF2m(m)
-    for a in f.nonzero_elements():
+    for a in range(1, f.q):
         assert f.pow(a, f.q - 1) == 1
 
 
@@ -175,7 +175,7 @@ def test_field_matrix_rank_binary_matches_bit_rank():
     f = GF2m(3)
     vals = rng.integers(0, 2, size=(10, 10))
     fm = FieldMatrix(f, vals)
-    assert fm.is_binary()
+    assert fm.values.max() <= 1
     assert fm.rank() == span_rank(BitMatrix.from_dense(vals).row_int(i) for i in range(10))
 
 

@@ -1,13 +1,22 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from storagecodes import storage
 from storagecodes.carryfree import count_nm
-from storagecodes.errors import BudgetError, ParameterError
+from storagecodes.errors import BudgetError, ParameterError, PropertyViolation
 from storagecodes.field import GF2m
 from storagecodes.bitmatrix import BitMatrix
 from storagecodes.graphs import FamilyParams, build_graph
+from storagecodes.polyf2 import (
+    SparsePoly,
+    eval_matrix,
+    mersenne_powers,
+    poly_d,
+    poly_rank,
+    reduce_mod,
+)
 from storagecodes.storage import (
     code_report,
     coset_matrix,
@@ -17,7 +26,7 @@ from storagecodes.storage import (
     w_matrix,
 )
 
-from oracles import span_rank
+from oracles import mat_vec, span_rank
 
 
 def test_coset_matrix_smallest_member():
@@ -98,6 +107,71 @@ def test_counting_bound_small():
             assert d.rank() <= count_nm(m, r), (n, m)
 
 
+def fermat_indicator(delta: SparsePoly, m: int) -> SparsePoly:
+    """red(delta^(2^m - 1)), reducing only the last power."""
+    return reduce_mod(list(mersenne_powers(delta, m))[-1], m)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_polynomial_ranks_equal_dense_ranks(n, m):
+    f = GF2m(m)
+    params = FamilyParams(n, m)
+    h = coset_matrix(params, f)
+    dense = (h.rank(), h.complement().rank(), d_matrix(params, f).rank())
+    w = fermat_indicator(poly_d(n), m)
+    d = fermat_indicator(poly_d(n) + SparsePoly.from_monomials([(n, 0, 0, 0), (0, 0, n, 0)]), m)
+    assert (poly_rank(w + SparsePoly.one()), poly_rank(w), poly_rank(d)) == dense
+    if m <= 3:  # the reduced powers are the W and D indicators entry by entry
+        assert np.array_equal(eval_matrix(w, f).values, h.complement().to_dense())
+        assert np.array_equal(eval_matrix(d, f).values, d_matrix(params, f).to_dense())
+    rep = code_report(params, f)
+    assert (rep.rank_h, rep.rank_w, rep.rank_d) == dense
+
+
+@pytest.mark.parametrize("n", [2 ** 16 + 1, 2 ** 20 - 1, 2 ** 40 + 1])
+def test_code_report_for_exponents_past_the_packing_cap(n):
+    # the polynomial route works with the exponent n reduces to on GF(q), since
+    # poly_d(n) itself has 2^popcount(n) terms and exponents over the 16-bit cap
+    f = GF2m(4)
+    params = FamilyParams(n, 4)
+    h = coset_matrix(params, f)
+    rep = code_report(params, f)
+    assert (rep.rank_h, rep.rank_w, rep.rank_d) == (
+        h.rank(), h.complement().rank(), d_matrix(params, f).rank()
+    )
+
+
+def test_code_report_ranks_one_dense_matrix(monkeypatch):
+    built, ranked = [], []
+
+    def build_h(*args):
+        built.append(coset_matrix(*args))
+        return built[-1]
+
+    def refuse(*args):
+        raise AssertionError("code_report built W or D densely")
+
+    def rank_spy(self):
+        ranked.append(self)
+        return rank(self)
+
+    rank = BitMatrix.rank
+    monkeypatch.setattr(storage, "coset_matrix", build_h)
+    monkeypatch.setattr(storage, "w_matrix", refuse)
+    monkeypatch.setattr(storage, "d_matrix", refuse)
+    monkeypatch.setattr(BitMatrix, "rank", rank_spy)
+    assert code_report(FamilyParams(3, 3)).rank_h == 28
+    assert len(built) == 1
+    assert sum(m is built[0] for m in ranked) == 1
+
+
+def test_code_report_raises_when_the_routes_disagree(monkeypatch):
+    monkeypatch.setattr(storage, "poly_rank", lambda p: poly_rank(p) + 1)
+    with pytest.raises(PropertyViolation, match="dense rank"):
+        code_report(FamilyParams(3, 2))
+
+
 def test_code_report_values():
     rep = code_report(FamilyParams(3, 1))
     assert (rep.size, rep.rank_h, rep.dimension) == (4, 2, 2)
@@ -138,7 +212,7 @@ def test_sample_codewords_deterministic_and_in_kernel():
     assert words_a == words_b
     assert words_a != sample_codewords(h, 20, seed=100)
     for w in words_a:
-        assert h.mat_vec(w) == 0
+        assert mat_vec(h, w) == 0
 
 
 def test_sample_codewords_trivial_kernel():
