@@ -79,10 +79,6 @@ class BitMatrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         m = cls(n, n)
         for i in range(n):
@@ -135,9 +131,6 @@ class BitMatrix:
         if rem and self.words.size:
             self.words[:, -1] &= (np.uint64(1) << np.uint64(rem)) - np.uint64(1)
 
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, self.words.copy())
-
     def get(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ParameterError("index out of range")
@@ -180,25 +173,9 @@ class BitMatrix:
 
     def tensor(self, other: "BitMatrix") -> "BitMatrix":
         """Kronecker product: block (i1, j1) equals self[i1,j1] * other."""
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        if rows * cols > MAX_BITS:
-            raise BudgetError("tensor result exceeds the bit cap")
-        b_rows = [other.row_int(i) for i in range(other.rows)]
-        out = []
-        for i1 in range(self.rows):
-            a = self.row_int(i1)
-            js = []
-            aa = a
-            while aa:
-                js.append((aa & -aa).bit_length() - 1)
-                aa &= aa - 1
-            for b in b_rows:
-                r = 0
-                for j1 in js:
-                    r |= b << (j1 * other.cols)
-                out.append(r)
-        return BitMatrix.from_row_ints(out, cols)
+        if self.rows * other.rows * self.cols * other.cols > DENSE_BITS:
+            raise BudgetError("tensor result exceeds the byte-per-bit cap")
+        return BitMatrix.from_dense(np.kron(self.to_dense(), other.to_dense()))
 
     # -- elimination ----------------------------------------------------
 
@@ -216,17 +193,10 @@ class BitMatrix:
         R = self.rows
         r = 0
         one = np.uint64(1)
-        misses = 0
-        check_at = WORD  # exponential backoff for the all-zero early exit
         for c in range(self.cols):
             col = (M[r:, c >> 6] >> np.uint64(c & 63)) & one
             nz = np.nonzero(col)[0]
             if nz.size == 0:
-                misses += 1
-                if misses >= check_at:
-                    if not M[r:].any():
-                        break
-                    check_at *= 2
                 continue
             p = r + int(nz[0])
             if p != r:

@@ -198,14 +198,14 @@ def fifteen_sixteenths_bound(m: int, r: int) -> int:
     return 15 ** t * 4 ** (m - 2 * t)
 
 
-def nm_bound(m: int, r: int, budget: int = DEFAULT_ENUMERATION_BUDGET) -> tuple[int, bool]:
+def nm_bound(m: int, r: int) -> tuple[int, bool]:
     """(N_m, bound_holds) with every comparison done in exact integers.
 
     bound_holds checks N_m * 16^t <= 15^t * 4^m for t = floor(m / (r+1)),
     the floor-weakened form of the (15/16)^(m/(r+1)) bound; for r = 1 the
     Z[sqrt(2)] growth bound is required to hold as well.
     """
-    value = count_nm(m, r, budget=budget)
+    value = count_nm(m, r)
     holds = value <= fifteen_sixteenths_bound(m, r)
     if r == 1:
         holds = holds and nm_growth_bound_holds(m, value)

@@ -124,15 +124,15 @@ def cmd_code_report(args) -> int:
     params = FamilyParams(args.n, args.m)
     field = GF2m(args.m)
     report = storage.code_report(params, field)
+    doc = report.to_json_dict()
     if args.dump:
-        matrix = {
-            "H": lambda: storage.coset_matrix(params, field),
-            "W": lambda: storage.w_matrix(storage.coset_matrix(params, field)),
-            "D": lambda: storage.d_matrix(params, field),
-        }[args.dump]()
+        if args.dump == "D":
+            del report  # frees the ranked H, so D is the only dense matrix alive
+            matrix = storage.d_matrix(params, field)
+        else:
+            matrix = report.h if args.dump == "H" else storage.w_matrix(report.h)
         with open(args.dump_path, "w") as fh:
             matrix.dump(fh)
-    doc = report.to_json_dict()
     doc["meta"] = _meta(field, n=args.n, m=args.m)
     doc["meta"]["elapsed_ms"] = int(1000 * (time.perf_counter() - start))
     if args.format == "csv":

@@ -212,8 +212,6 @@ class GF2m:
         a = np.asarray(a, dtype=np.int64)
         if e == 0:
             return np.ones_like(a)
-        if self.q == 2:
-            return a.copy()
         exp, log = self.exp_table, self.log_table
         e_red = e % (self.q - 1)  # valid for nonzero bases; zeros are masked below
         out = exp[(log[a] * e_red) % (self.q - 1)]

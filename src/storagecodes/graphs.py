@@ -102,20 +102,16 @@ class CayleyGraph:
         return sum(self.degree(v) for v in range(self.num_vertices)) // 2
 
 
-def build_graph(
-    params: FamilyParams,
-    field: GF2m,
-    max_bits: int = DEFAULT_GRAPH_BUDGET_BITS,
-) -> CayleyGraph:
+def build_graph(params: FamilyParams, field: GF2m) -> CayleyGraph:
     """Materialise the graph with adjacency bit rows.
 
-    Needs num_vertices^2 bits; the default budget admits m <= 7.
+    Needs num_vertices^2 bits; DEFAULT_GRAPH_BUDGET_BITS admits m <= 7.
     """
     conn = connection_set(params, field)
     n_vert = 1 << (2 * field.m)
-    if n_vert * n_vert > max_bits:
+    if n_vert * n_vert > DEFAULT_GRAPH_BUDGET_BITS:
         raise BudgetError(
-            f"adjacency for m={field.m} needs {n_vert}^2 bits, over budget {max_bits}"
+            f"adjacency for m={field.m} needs {n_vert}^2 bits, over budget {DEFAULT_GRAPH_BUDGET_BITS}"
         )
     nonzero = conn.nonzero
     adjacency = [0] * n_vert

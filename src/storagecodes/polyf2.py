@@ -46,6 +46,8 @@ DEFAULT_MONOMIAL_BUDGET = 10 ** 8
 #: default cap on certification exponents
 DEFAULT_T_MAX = 8
 
+_EVAL_LOOKUPS = 1 << 31  # cap on the table lookups of one eval_matrix
+
 
 class Monomial(NamedTuple):
     """Exponent 4-tuple of one monomial x1^a x2^b y1^c y2^d."""
@@ -114,9 +116,6 @@ class SparsePoly:
         """Sum over GF(2): the symmetric difference of the monomial sets."""
         return SparsePoly(_xor_reduce(np.concatenate([self._codes, other._codes])))
 
-    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        return poly_mul(self, other)
-
     def max_exponents(self) -> Monomial:
         """Per-variable degree (0 for the zero polynomial)."""
         if not self._codes.size:
@@ -134,6 +133,8 @@ def poly_d(n: int) -> SparsePoly:
     """
     if n < 1 or n % 2 == 0:
         raise ParameterError(f"n={n}: need an odd integer >= 1")
+    if n > EXP_MAX:  # before listing the 2^popcount(n) terms
+        raise BudgetError(f"exponent {n} outside 0..{EXP_MAX}")
     mons: list[tuple[int, int, int, int]] = [(0, 1, 0, 0), (0, 0, 0, 1)]
     i = n
     while True:
@@ -209,18 +210,18 @@ def poly_rank(p: SparsePoly) -> int:
     return coeff_matrix(p).rank()
 
 
-def eval_matrix(p: SparsePoly, field: GF2m, max_entries: int = 1 << 31) -> FieldMatrix:
+def eval_matrix(p: SparsePoly, field: GF2m) -> FieldMatrix:
     """The q^2 x q^2 matrix of values p(x1, x2, y1, y2) over GF(2^m).
 
     Entries are field elements, so the result is a FieldMatrix and its
     ``.rank()`` is the rank over the field.  Work is |monomials| * q^4
-    table lookups, capped by max_entries; the 8 * q^4-byte int64
+    table lookups, capped at 2^31; the 8 * q^4-byte int64
     accumulator is capped by the byte-per-bit cap ``DENSE_BITS`` of
     bitmatrix, which stops m >= 7 before anything is allocated.
     """
     q = field.q
     n_vert = q * q
-    if len(p) * n_vert * n_vert > max_entries:
+    if len(p) * n_vert * n_vert > _EVAL_LOOKUPS:
         raise BudgetError(
             f"evaluating {len(p)} monomials on a {n_vert}x{n_vert} grid exceeds the budget"
         )

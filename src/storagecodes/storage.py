@@ -20,7 +20,7 @@ polynomial rank of 1 + red(d^(q-1)) must equal the dense rank of H.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
@@ -86,7 +86,8 @@ class CodeReport:
 
     The counting bound N_m applies when n = 2^r + 1 for some r >= 1; for
     other odd n the two bound fields are None.  The growth-bound check in
-    Z[sqrt(2)] exists for r = 1 only.
+    Z[sqrt(2)] exists for r = 1 only.  h is the coset matrix that was ranked,
+    kept for ``--dump`` and left out of repr, comparison and the JSON.
     """
 
     params: FamilyParams
@@ -102,6 +103,7 @@ class CodeReport:
     substitution_ok: bool
     nm_ok: bool | None
     closed_form_ok: bool | None
+    h: BitMatrix = dc_field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -163,6 +165,7 @@ def code_report(params: FamilyParams, field: GF2m | None = None) -> CodeReport:
         substitution_ok=rank_w == rank_d,
         nm_ok=(rank_d <= n_m) if n_m is not None else None,
         closed_form_ok=nm_growth_bound_holds(m, n_m) if r == 1 else None,
+        h=h,
     )
 
 

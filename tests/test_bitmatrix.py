@@ -26,7 +26,7 @@ def test_rank_identity_and_allones():
     for n in (1, 2, 5, 64, 65):
         assert BitMatrix.identity(n).rank() == n
         assert BitMatrix.ones(n, n).rank() == 1
-    assert BitMatrix.zeros(3, 7).rank() == 0
+    assert BitMatrix(3, 7).rank() == 0
     assert BitMatrix(0, 0).rank() == 0
 
 
@@ -76,7 +76,7 @@ def test_rank_transpose_and_permutation_invariance():
 
 def test_kernel_identity_zero_and_coset_example():
     assert BitMatrix.identity(6).kernel_basis() == []
-    zero = BitMatrix.zeros(5, 5)
+    zero = BitMatrix(5, 5)
     basis = zero.kernel_basis()
     assert len(basis) == 5
     assert span_rank(basis) == 5
@@ -92,8 +92,10 @@ def test_kernel_identity_zero_and_coset_example():
 
 
 def test_kernel_when_the_all_zero_early_exit_fires():
-    # 10 x 300 with only the first 8 columns nonzero: elimination stops after
-    # the backoff finds the remaining rows all zero, long before column 300
+    # 10 x 300 with only the first 8 columns nonzero: at most 8 pivots, so the
+    # rows left below them are all zero and elimination runs on to column 300
+    # with nothing to clear; each of the 292 zero columns must still come out
+    # as a free column of the kernel basis
     rng = np.random.default_rng(314)
     dense = np.zeros((10, 300), dtype=np.uint8)
     dense[:, :8] = rng.integers(0, 2, size=(10, 8))
@@ -135,6 +137,13 @@ def test_tensor_entry_layout():
                     assert t.get(i1 * 2 + i2, j1 * 2 + j2) == want
 
 
+def test_tensor_rejects_results_over_the_dense_cap():
+    a = BitMatrix(1 << 15, 1)
+    b = BitMatrix(1 << 14, 1)
+    with pytest.raises(BudgetError):
+        a.tensor(b)
+
+
 def test_tensor_rank_multiplicative():
     rng = np.random.default_rng(404)
     for _ in range(30):
@@ -147,13 +156,13 @@ def test_hadamard_identities_and_bound():
     rng = np.random.default_rng(505)
     a = BitMatrix.random(8, 8, rng)
     assert a.hadamard(BitMatrix.ones(8, 8)) == a
-    assert a.hadamard(BitMatrix.zeros(8, 8)) == BitMatrix.zeros(8, 8)
+    assert a.hadamard(BitMatrix(8, 8)) == BitMatrix(8, 8)
     for _ in range(30):
         x = BitMatrix.random(8, 8, rng)
         y = BitMatrix.random(8, 8, rng)
         assert x.hadamard(y).rank() <= x.rank() * y.rank()
     with pytest.raises(ParameterError):
-        a.hadamard(BitMatrix.zeros(7, 8))
+        a.hadamard(BitMatrix(7, 8))
 
 
 def test_complement_is_involution_and_flips_entries():

@@ -141,6 +141,28 @@ def test_code_report_builds_d_only_for_its_dump(capsys, monkeypatch, tmp_path):
         assert BitMatrix.load(fh) == d_matrix(FamilyParams(3, 2), GF2m(2))
 
 
+@pytest.mark.parametrize("which", ["H", "W", "D"])
+def test_code_report_dump_builds_each_matrix_once(capsys, monkeypatch, tmp_path, which):
+    params, field = FamilyParams(3, 2), GF2m(2)
+    h = coset_matrix(params, field)
+    want = {"H": h, "W": h.complement(), "D": storage.d_matrix(params, field)}[which]
+    calls = {"coset": 0, "d": 0}
+
+    def counting(key, fn):
+        def wrapped(*a):
+            calls[key] += 1
+            return fn(*a)
+        return wrapped
+
+    monkeypatch.setattr(storage, "coset_matrix", counting("coset", storage.coset_matrix))
+    monkeypatch.setattr(storage, "d_matrix", counting("d", storage.d_matrix))
+    path = tmp_path / f"{which}.txt"
+    run_json(capsys, "code-report", "--n", "3", "--m", "2", "--dump", which, "--dump-path", str(path))
+    assert calls == {"coset": 1, "d": int(which == "D")}
+    with open(path) as fh:
+        assert BitMatrix.load(fh) == want
+
+
 def test_code_report_json_schema(capsys):
     doc = run_json(capsys, "code-report", "--n", "3", "--m", "2")
     assert doc["size"] == 16
@@ -206,6 +228,12 @@ def test_certify_long_runs_need_extended_flag(capsys):
 def test_certify_parameter_error(capsys):
     code, _, _ = run_cli(capsys, "certify", "--n", "6", "--t-max", "3")
     assert code == 2
+
+
+def test_certify_rejects_an_exponent_past_the_packing_cap(capsys):
+    code, out, err = run_cli(capsys, "certify", "--n", str(2 ** 18 - 1), "--t-max", "1")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget error:")
 
 
 @pytest.mark.slow

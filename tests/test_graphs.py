@@ -81,7 +81,7 @@ def test_graph_is_simple_and_symmetric():
 
 def test_build_graph_budget():
     with pytest.raises(BudgetError):
-        build_graph(FamilyParams(3, 3), GF2m(3), max_bits=100)
+        build_graph(FamilyParams(3, 8), GF2m(8))
 
 
 def test_triangle_criterion_known_cases():

@@ -74,6 +74,17 @@ def test_base_polynomial_small_exponents():
         poly_d(-3)
 
 
+def test_poly_d_rejects_exponents_past_the_packing_cap_before_listing_terms(monkeypatch):
+    assert len(poly_d(polyf2.EXP_MAX)) == 2 ** 16 + 2
+
+    def refuse(monomials):
+        raise AssertionError("poly_d listed its terms")
+
+    monkeypatch.setattr(SparsePoly, "from_monomials", refuse)
+    with pytest.raises(BudgetError):
+        poly_d(2 ** 18 - 1)
+
+
 def test_mul_identity_and_frobenius_square():
     d3 = poly_d(3)
     assert poly_mul(d3, SparsePoly.one()) == d3
@@ -312,8 +323,11 @@ def test_reduce_mod_keeps_the_function_and_caps_exponents(monos, m):
 
 
 def test_eval_budget():
-    with pytest.raises(BudgetError):
-        eval_matrix(poly_d(3), GF2m(3), max_entries=10)
+    # 129 monomials on the 4096 x 4096 grid of m = 6 need 129 * 2^24 > 2^31
+    # lookups, while the 2^27-byte accumulator is inside the byte cap
+    p = SparsePoly.from_monomials([(i, 0, 0, 0) for i in range(129)])
+    with pytest.raises(BudgetError, match="exceeds the budget"):
+        eval_matrix(p, GF2m(6))
 
 
 def test_eval_accumulator_is_checked_before_allocating(monkeypatch):

@@ -71,7 +71,7 @@ def test_w_matrix_involution_and_sandwich():
     assert w_matrix(w) == h
     assert abs(h.rank() - w.rank()) <= 1
     with pytest.raises(ParameterError):
-        w_matrix(BitMatrix.zeros(2, 3))
+        w_matrix(BitMatrix(2, 3))
 
 
 def test_matrices_match_scalar_definitions():
