@@ -188,28 +188,31 @@ class BitMatrix:
         """
         M = self.words.copy()
         pivots: list[int] = []
-        if self.rows == 0 or self.cols == 0:
-            return M, pivots
         R = self.rows
         r = 0
         one = np.uint64(1)
-        for c in range(self.cols):
-            col = (M[r:, c >> 6] >> np.uint64(c & 63)) & one
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
+        for word in range(M.shape[1]):
+            # Skip a word that is zero in every remaining row: later pivot
+            # rows come from those rows, so no XOR ever touches it.
+            if not M[r:, word].any():
                 continue
-            p = r + int(nz[0])
-            if p != r:
-                tmp = M[r].copy()
-                M[r] = M[p]
-                M[p] = tmp
-            rest = nz[1:] + r
-            if rest.size:
-                M[rest] ^= M[r]
-            pivots.append(c)
-            r += 1
-            if r == R:
-                break
+            for c in range(word << 6, min((word + 1) << 6, self.cols)):
+                col = (M[r:, word] >> np.uint64(c & 63)) & one
+                nz = np.nonzero(col)[0]
+                if nz.size == 0:
+                    continue
+                p = r + int(nz[0])
+                if p != r:
+                    tmp = M[r].copy()
+                    M[r] = M[p]
+                    M[p] = tmp
+                rest = nz[1:] + r
+                if rest.size:
+                    M[rest] ^= M[r]
+                pivots.append(c)
+                r += 1
+                if r == R:
+                    return M, pivots
         return M, pivots
 
     def rank(self) -> int:

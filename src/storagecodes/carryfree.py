@@ -8,6 +8,11 @@ every binary digit", the monomial-count machinery is
     b_set(s, r)      the set {2^r * l1 + l2 : l1 + l2 lessdot s}
     count_nm(m, r)   sum of |b_set(s, r)| over 0 <= s < 2^m
 
+Both walk each b-set as Python-int bitmasks: set bit j of a mask for a low
+part ``low < 2^r`` stands for the value ``low + (j << r)``, each set bit of s
+widens the masks by shift-ORs that also deduplicate, and ``int.bit_count``
+gives the sizes, so count_nm never builds a set of values.
+
 For r = 1 the sequence count_nm(m, 1) also satisfies two recurrences and a
 closed form in Z[sqrt(2)]; all three are implemented and cross-checked in
 tests.  Everything here is exact integer arithmetic, never floating point.
@@ -18,10 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import BudgetError, ParameterError
 
-#: cost cap for direct enumeration: count_nm(m, r) walks ~4^m assignments
+#: cost cap for direct enumeration: count_nm(m, r) covers the 4^m digit
+#: assignments (s, l1, l2) with s < 2^m, as set bits of shifted masks
 DEFAULT_ENUMERATION_BUDGET = 4 ** 14
+
+#: b_set(s, r) decodes masks 2^(k+1) bits wide for s of k bits; cap k here
+_B_SET_MAX_BITS = 24
 
 
 def lessdot(a: int, b: int, c: int) -> bool:
@@ -47,27 +58,48 @@ def multinomial_parity(n: int, parts: Sequence[int]) -> int:
     return 1 if sum(p.bit_count() for p in parts) == n.bit_count() else 0
 
 
-def _b_values(s: int, r: int) -> set[int]:
-    # Each set bit of s goes to l1, to l2, or to neither (3-way walk);
-    # deduplication happens as the set grows.
-    vals = {0}
-    i = 0
-    while s >> i:
+def _b_values(s: int, r: int) -> list[tuple[int, int]]:
+    # b_set(s, r) as (low, mask) pairs: v = low + (j << r) for each set bit j
+    # of mask.  v mod 2^r = l2 mod 2^r, so each submask `low` of s's bits
+    # below r gets one mask of the values v >> r, at most 2^(k+1) bits wide
+    # for k = s.bit_length().  A bit i >= r adds {0, 2^i (in l1), 2^(i-r)
+    # (in l2)} to v >> r; the shift-OR does the deduplication.
+    mask = 1
+    for i in range(r, s.bit_length()):
         if (s >> i) & 1:
-            hi = 1 << (i + r)
-            lo = 1 << i
-            vals = {v + c for v in vals for c in (0, lo, hi)}
-        i += 1
-    return vals
+            mask |= (mask << (1 << i)) | (mask << (1 << (i - r)))
+    # A bit i < r goes to low (in l2), or adds {0, 2^i (in l1)} to v >> r.
+    pairs = [(0, mask)]
+    for i in range(min(r, s.bit_length())):
+        if (s >> i) & 1:
+            bit = 1 << i
+            pairs = [p for low, w in pairs for p in ((low | bit, w), (low, w | (w << bit)))]
+    return pairs
+
+
+def _b_size(s: int, r: int) -> int:
+    """|b_set(s, r)|, counted as set bits of the masks."""
+    return sum(w.bit_count() for _, w in _b_values(s, r))
+
+
+def _bit_positions(w: int) -> list[int]:
+    raw = np.frombuffer(w.to_bytes((w.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 
 
 def b_set(s: int, r: int = 1) -> list[int]:
-    """Sorted elements of {2^r * l1 + l2 : l1 + l2 lessdot s}."""
+    """Sorted elements of {2^r * l1 + l2 : l1 + l2 lessdot s}.
+
+    Raises BudgetError for s of more than 24 bits, whose masks would be over
+    2^25 bits wide.
+    """
     if s < 0:
         raise ParameterError("s must be non-negative")
     if r < 1:
         raise ParameterError("r must be a positive integer")
-    return sorted(_b_values(s, r))
+    if s.bit_length() > _B_SET_MAX_BITS:
+        raise BudgetError(f"b_set(s) needs masks 2^{s.bit_length() + 1} bits wide, over 2^{_B_SET_MAX_BITS + 1}")
+    return sorted(low + (j << r) for low, w in _b_values(s, r) for j in _bit_positions(w))
 
 
 def count_nm(m: int, r: int = 1, budget: int = DEFAULT_ENUMERATION_BUDGET) -> int:
@@ -77,8 +109,8 @@ def count_nm(m: int, r: int = 1, budget: int = DEFAULT_ENUMERATION_BUDGET) -> in
     if r < 1:
         raise ParameterError("r must be a positive integer")
     if 4 ** m > budget:
-        raise BudgetError(f"count_nm(m={m}) needs ~4^{m} set insertions, over budget {budget}")
-    return sum(len(_b_values(s, r)) for s in range(1 << m))
+        raise BudgetError(f"count_nm(m={m}) covers 4^{m} digit assignments (s, l1, l2), over budget {budget}")
+    return sum(_b_size(s, r) for s in range(1 << m))
 
 
 def nm_recurrence(m: int) -> int:

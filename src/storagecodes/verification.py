@@ -75,7 +75,7 @@ def claim_bset_structure_laws(budget: str, seed: int):
 
     def b_size(s):
         if s not in sizes:
-            sizes[s] = len(carryfree._b_values(s, 1))
+            sizes[s] = carryfree._b_size(s, 1)
         return sizes[s]
 
     # all-ones law: |b_set(2^(i-1) - 1)| = 2^i - 1

@@ -68,6 +68,19 @@ def b_set_by_pair_scan(s: int, r: int) -> list[int]:
     return sorted(out)
 
 
+def b_values_by_sets(s: int, r: int) -> set[int]:
+    """b_set(s, r) as a Python set, grown one set bit of s at a time.
+
+    Each set bit of s goes to l1, to l2 or to neither; the set does the
+    deduplication.
+    """
+    vals = {0}
+    for i in range(s.bit_length()):
+        if (s >> i) & 1:
+            vals = {v + c for v in vals for c in (0, 1 << i, 1 << (i + r))}
+    return vals
+
+
 def poly_mul_by_dict(p_monomials, q_monomials) -> set:
     """Schoolbook product of monomial sets with XOR coefficients."""
     acc = set()

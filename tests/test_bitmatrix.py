@@ -118,6 +118,41 @@ def test_rank_plus_kernel_dimension_is_cols():
         assert pivot_rank(basis) == len(basis)
 
 
+@st.composite
+def zero_stretch_matrices(draw):
+    """Tall low-rank 0/1 matrices whose nonzero columns sit in short runs.
+
+    Runs are separated by more than 64 zero columns, so whole words are zero
+    in every row, and the column count is never a multiple of 64.  Sparse
+    row combinations leave words that only one row touches.
+    """
+    rank = draw(st.integers(1, 8))
+    rows = draw(st.integers(rank + 1, 160))
+    support, c = [], draw(st.integers(0, 70))
+    for _ in range(draw(st.integers(1, 3))):
+        width = draw(st.integers(1, 10))
+        support.extend(range(c, c + width))
+        c += width + draw(st.integers(65, 140))
+    cols = c if c % 64 else c + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    basis = rng.integers(0, 2, size=(rank, len(support)))
+    combos = rng.random((rows, rank)) < draw(st.sampled_from([0.02, 0.5]))
+    dense = np.zeros((rows, cols), dtype=np.uint8)
+    dense[:, support] = combos.astype(np.int64) @ basis % 2
+    return BitMatrix.from_dense(dense)
+
+
+@settings(max_examples=100, deadline=None)
+@given(zero_stretch_matrices())
+def test_rank_and_kernel_across_zero_words_of_tall_low_rank_matrices(m):
+    rank = m.rank()
+    assert rank == pivot_rank(m.row_int(i) for i in range(m.rows))
+    basis = m.kernel_basis()
+    assert len(basis) == m.cols - rank
+    assert all(mat_vec(m, v) == 0 for v in basis)
+    assert pivot_rank(basis) == len(basis)
+
+
 def test_tensor_small_identities():
     i2 = BitMatrix.identity(2)
     assert i2.tensor(i2) == BitMatrix.identity(4)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from storagecodes.carryfree import (
     Zsqrt2,
@@ -16,7 +17,7 @@ from storagecodes.carryfree import (
 )
 from storagecodes.errors import BudgetError, ParameterError
 
-from oracles import b_set_by_pair_scan, multinomial_parity_by_factorials
+from oracles import b_set_by_pair_scan, b_values_by_sets, multinomial_parity_by_factorials
 
 
 def test_lessdot_examples():
@@ -72,6 +73,35 @@ def test_b_set_against_pair_scan_oracle():
         s = int(rng.integers(64, 300))
         r = int(rng.integers(1, 4))
         assert b_set(s, r) == b_set_by_pair_scan(s, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, (1 << 10) - 1), st.integers(1, 48))
+def test_b_set_against_set_and_pair_scan_oracles(s, r):
+    # r runs past s's bit length and past 64, where masks and values split
+    want = sorted(b_values_by_sets(s, r))
+    assert b_set(s, r) == want
+    assert b_set_by_pair_scan(s, r) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 12))
+def test_count_nm_against_set_oracle_sum(m, r):
+    assert count_nm(m, r) == sum(len(b_values_by_sets(s, r)) for s in range(1 << m))
+
+
+def test_count_nm_goldens():
+    # m = 13 values from set enumeration; the r >= m and r = 40 rows are 4^m
+    assert [count_nm(13, r) for r in (1, 2, 3, 4)] == [10340096, 15573946, 19856588, 23883734]
+    assert count_nm(12, 12) == 4 ** 12
+    assert count_nm(4, 40) == 256
+
+
+def test_b_set_rejects_masks_over_the_width_cap():
+    # s = 2^23 + 1 keeps masks 2^25 bits wide: bit 0 gives {0, 1, 2}, bit 23 {0, 2^23, 2^24}
+    assert b_set((1 << 23) | 1, 1) == [h + v for h in (0, 1 << 23, 1 << 24) for v in (0, 1, 2)]
+    with pytest.raises(BudgetError):
+        b_set(1 << 24, 1)
 
 
 def test_pair_count_identity():

@@ -9,6 +9,8 @@ from storagecodes.field import GF2m
 from storagecodes.graphs import FamilyParams
 from storagecodes.storage import coset_matrix
 
+from oracles import b_values_by_sets
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -51,6 +53,23 @@ def test_nm_table_json_and_budget_error(capsys):
     code, _, err = run_cli(capsys, "nm-table", "--m-max", "15")
     assert code == 3
     assert "budget" in err
+
+
+def test_nm_table_to_m13_matches_recurrence_and_closed_form(capsys):
+    code, out, err = run_cli(capsys, "nm-table", "--m-max", "13")
+    assert code == 0, err
+    want = ["m,r,N_m,bound,bound_holds"]
+    for m in range(14):
+        value, t = carryfree.nm_recurrence(m), m // 2
+        assert carryfree.nm_closed_form(m) == value
+        want.append(f"{m},1,{value},{15 ** t * 4 ** (m - 2 * t)},true")
+    assert out.splitlines() == want
+
+
+def test_nm_table_r2_matches_set_oracle_sums(capsys):
+    doc = run_json(capsys, "nm-table", "--r", "2", "--m-max", "10", "--format", "json")
+    want = [sum(len(b_values_by_sets(s, 2)) for s in range(1 << m)) for m in range(11)]
+    assert [row["N_m"] for row in doc["rows"]] == want
 
 
 def test_nm_table_rejects_m_max_before_enumerating(capsys, monkeypatch):
