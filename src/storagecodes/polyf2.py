@@ -16,9 +16,10 @@ The certification route never leaves coefficient space: rank(p) is the
 GF(2) rank of the coefficient matrix of p, whose rows are indexed by
 (e_x1, e_x2) and columns by (e_y1, e_y2).  That matrix splits into small
 connected blocks (the torus grading of the polynomial method keeps
-monomials of different weights apart), and ``SparseBitMatrix.rank`` ranks
-each block on its own; the flat ``coeff_matrix(p).compact().rank()`` is the
-reference it is tested against.  Squaring in characteristic 2
+monomials of different weights apart).  ``SparseBitMatrix.rank`` finds the
+blocks and eliminates all blocks of one rounded shape in lockstep, so
+``poly_rank`` never builds a per-block BitMatrix; the flat
+``coeff_matrix(p).compact().rank()`` is the reference it is tested against.  Squaring in characteristic 2
 doubles exponents, which only relabels rows and columns, so d^(2^t - 1) is
 expanded as the product of the t doubled copies d^(2^i), i < t, keeping
 every factor as small as d itself.  At t = m it is d^(q - 1), q = 2^m, the

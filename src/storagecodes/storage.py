@@ -11,8 +11,9 @@ and d = (x1+y1)^n + x2 + y2 (polyf2.poly_d):
     D   the indicator of d + x1^n + y1^n != 0, i.e. W after the relabelling
         (x1, x2) -> (x1, x2 + x1^n), evaluated directly, never permuted from W.
 
-One packer builds H and D in row blocks and raises BudgetError for m >= 8
-(over DEFAULT_GRAPH_BUDGET_BITS) before allocating.  ``code_report`` ranks
+H is built from its first 64 rows by permuting whole words, and D is packed
+in row blocks; both raise BudgetError for m >= 8 (over
+DEFAULT_GRAPH_BUDGET_BITS) before allocating.  ``code_report`` ranks
 H densely and W, D as reduced Fermat powers (polyf2.reduce_mod); the
 polynomial rank of 1 + red(d^(q-1)) must equal the dense rank of H.
 """
@@ -25,21 +26,26 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitmatrix import BitMatrix
+from .bitmatrix import WORD, BitMatrix
 from .carryfree import count_nm, nm_growth_bound_holds
 from .errors import BudgetError, ParameterError, PropertyViolation
 from .field import GF2m
 from .graphs import DEFAULT_GRAPH_BUDGET_BITS, CayleyGraph, FamilyParams, connection_set, exponent_r_plus
 from .polyf2 import SparsePoly, mersenne_powers, poly_d, poly_rank, reduce_mod
 
-_BLOCK_ROWS = 1024  # keeps the per-block xor table small even at m = 7
+_BLOCK_ROWS = 256  # rows per d_matrix block; each int32 temporary is 4 * q^2 bytes a row (16 MiB a block at m = 7)
+
+
+def _dense(n_vert: int) -> BitMatrix:
+    """An all-zero n_vert x n_vert matrix, after the dense budget check."""
+    if n_vert * n_vert > DEFAULT_GRAPH_BUDGET_BITS:
+        raise BudgetError(f"dense matrix needs {n_vert}^2 bits, over budget {DEFAULT_GRAPH_BUDGET_BITS}")
+    return BitMatrix(n_vert, n_vert)
 
 
 def _pack_rows(n_vert: int, block) -> BitMatrix:
     """The n_vert x n_vert matrix whose rows sl are the bool array block(sl)."""
-    if n_vert * n_vert > DEFAULT_GRAPH_BUDGET_BITS:
-        raise BudgetError(f"dense matrix needs {n_vert}^2 bits, over budget {DEFAULT_GRAPH_BUDGET_BITS}")
-    out = BitMatrix(n_vert, n_vert)
+    out = _dense(n_vert)
     for r0 in range(0, n_vert, _BLOCK_ROWS):
         sl = slice(r0, min(r0 + _BLOCK_ROWS, n_vert))
         out.words[sl] = BitMatrix.from_dense(block(sl)).words
@@ -47,13 +53,23 @@ def _pack_rows(n_vert: int, block) -> BitMatrix:
 
 
 def coset_matrix(params: FamilyParams, field: GF2m) -> BitMatrix:
-    """The q^2 x q^2 coset matrix H of the connection set."""
-    conn = connection_set(params, field)
+    """The q^2 x q^2 coset matrix H of the connection set.
+
+    H[x][y] depends on x XOR y only, so for x = 64k + l word j of row x is
+    word k XOR j of row l: the first 64 rows are built from the indicator,
+    and every further run of 64 rows is those rows with their words permuted.
+    """
     n_vert = 1 << (2 * field.m)
+    out = _dense(n_vert)
     indicator = np.zeros(n_vert, dtype=bool)
-    indicator[list(conn.vectors)] = True
+    indicator[list(connection_set(params, field).vectors)] = True
+    base_rows = min(n_vert, WORD)
     ids = np.arange(n_vert, dtype=np.int32)
-    return _pack_rows(n_vert, lambda sl: indicator[np.bitwise_xor.outer(ids[sl], ids)])
+    base = BitMatrix.from_dense(indicator[np.bitwise_xor.outer(ids[:base_rows], ids)]).words
+    words = np.arange(out.words.shape[1])
+    for k in words:
+        out.words[k * base_rows : (k + 1) * base_rows] = base[:, words ^ k]
+    return out
 
 
 def w_matrix(h: BitMatrix) -> BitMatrix:

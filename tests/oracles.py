@@ -7,7 +7,10 @@ and set constructions from quadratic scans.
 
 import math
 
+import numpy as np
+
 from storagecodes.bitmatrix import BitMatrix
+from storagecodes.graphs import connection_set
 
 
 def span_rank(row_ints) -> int:
@@ -49,6 +52,19 @@ def mat_vec(matrix: BitMatrix, v: int) -> int:
 
 def transpose(matrix: BitMatrix) -> BitMatrix:
     return BitMatrix.from_dense(matrix.to_dense().T)
+
+
+def coset_matrix_by_xor_table(params, field) -> BitMatrix:
+    """H[x][y] = [x XOR y in the connection set], one XOR table per 1024-row block."""
+    n_vert = 1 << (2 * field.m)
+    indicator = np.zeros(n_vert, dtype=bool)
+    indicator[list(connection_set(params, field).vectors)] = True
+    ids = np.arange(n_vert, dtype=np.int32)
+    out = BitMatrix(n_vert, n_vert)
+    for r0 in range(0, n_vert, 1024):
+        sl = slice(r0, r0 + 1024)
+        out.words[sl] = BitMatrix.from_dense(indicator[np.bitwise_xor.outer(ids[sl], ids)]).words
+    return out
 
 
 def multinomial_parity_by_factorials(n: int, parts) -> int:

@@ -1,4 +1,6 @@
+import functools
 import io
+import operator
 
 import numpy as np
 import pytest
@@ -407,3 +409,76 @@ def test_block_rank_of_single_row_and_single_column_blocks(shapes, seed):
     blocks = [[[True] * k] if wide else [[True]] * k for wide, k in shapes]
     s = shuffled_block_diagonal(blocks, seed)
     assert s.rank() == s.compact().rank() == len(blocks)
+
+
+@st.composite
+def int_blocks(draw, sides, widths, max_rank):
+    """(cols, row ints) of a block of rank at most max_rank: rows are XORs of a drawn basis."""
+    rows, cols = draw(st.integers(*sides)), draw(st.integers(*widths))
+    k = draw(st.integers(1, max_rank))
+    basis = draw(st.lists(st.integers(0, 2 ** cols - 1), min_size=k, max_size=k))
+    coeffs = draw(st.lists(st.integers(0, 2 ** k - 1), min_size=rows, max_size=rows))
+    return cols, [functools.reduce(operator.xor, (b for i, b in enumerate(basis) if a >> i & 1), 0)
+                  for a in coeffs]
+
+
+def as_bool_block(cols, row_ints):
+    return [[bool(v >> j & 1) for j in range(cols)] for v in row_ints]
+
+
+def assert_block_rank(blocks, seed):
+    """rank of the shuffled block-diagonal matrix = flat rank = sum of the block ranks."""
+    s = shuffled_block_diagonal([as_bool_block(cols, rows) for cols, rows in blocks], seed)
+    assert s.rank() == s.compact().rank() == sum(pivot_rank(rows) for _, rows in blocks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(int_blocks((9, 16), (9, 16), 16), min_size=2, max_size=8), st.integers(0, 2 ** 32 - 1))
+def test_lockstep_rank_of_blocks_of_different_sizes_in_one_stack(blocks, seed):
+    # 9..16 rows and columns all round up to 16 x 16, so the blocks share one stack
+    assert_block_rank(blocks, seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(int_blocks((2, 12), (65, 150), 12), min_size=1, max_size=5), st.integers(0, 2 ** 32 - 1))
+def test_lockstep_rank_of_blocks_wider_than_a_word(blocks, seed):
+    assert_block_rank(blocks, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(int_blocks((2, 24), (2, 24), 3), min_size=1, max_size=8), st.integers(0, 2 ** 32 - 1))
+def test_lockstep_rank_of_low_rank_blocks(blocks, seed):
+    assert_block_rank(blocks, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 2 ** 20 - 1), int_blocks((0, 10), (21, 21), 21)),
+                min_size=1, max_size=6))
+def test_lockstep_rank_when_the_pivot_swap_displaces_a_row(blocks):
+    # rows 2x and 2x + 1 head each block and keys keep the drawn order, so column 0
+    # pivots on row 1 and the swap moves row 0 into the slot the pivot left
+    rows, cols = [], []
+    want = 0
+    for b, (x, (_, rest)) in enumerate(blocks):
+        block = [x << 1, x << 1 | 1, *rest]
+        want += pivot_rank(block)
+        for i, v in enumerate(block):
+            for j in range(22):
+                if v >> j & 1:
+                    rows.append(b << 8 | i)
+                    cols.append(b << 8 | j)
+    s = SparseBitMatrix(np.array(rows, dtype=np.uint64), np.array(cols, dtype=np.uint64))
+    assert s.rank() == s.compact().rank() == want
+
+
+def test_block_rank_neither_compacts_nor_ranks_dense_blocks(monkeypatch):
+    # a 3 x 3 block of rank 2 (its rows sum to zero) and a 2 x 2 identity
+    cycle = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
+    s = sparse([((i, 0), (j, 0)) for i, j in cycle] + [((9, 0), (9, 0)), ((9, 1), (9, 1))])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SparseBitMatrix.rank went through a per-block BitMatrix")
+
+    monkeypatch.setattr(SparseBitMatrix, "compact", refuse)
+    monkeypatch.setattr(BitMatrix, "rank", refuse)
+    assert s.rank() == 4

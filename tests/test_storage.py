@@ -26,7 +26,7 @@ from storagecodes.storage import (
     w_matrix,
 )
 
-from oracles import mat_vec, span_rank
+from oracles import coset_matrix_by_xor_table, mat_vec, span_rank
 
 
 def test_coset_matrix_smallest_member():
@@ -43,6 +43,17 @@ def test_coset_matrix_symmetric_with_unit_diagonal():
         assert dense.diagonal().all()
         # each row is the indicator of a coset, so has weight q
         assert (dense.sum(axis=1) == 1 << m).all()
+
+
+@pytest.mark.parametrize("m", [
+    *range(1, 7),
+    pytest.param(7, marks=pytest.mark.extended),
+])
+def test_coset_matrix_equals_the_xor_table(m):
+    f = GF2m(m)
+    for n in (3, 5, 7, 9):
+        params = FamilyParams(n, m)
+        assert coset_matrix(params, f) == coset_matrix_by_xor_table(params, f), (n, m)
 
 
 class DenseAllocation(Exception):
