@@ -27,13 +27,14 @@ occupied keys, in sorted order, onto a dense BitMatrix.  ``rank`` splits the
 matrix into the connected components of its row-column graph instead: the
 matrix is block diagonal up to a permutation, so its rank is the sum of the
 block ranks.  The component pass also gives every entry its block and its
-row and column within the block, so no block is compacted.  Blocks whose
+row and column within the block, so no block is compacted.  Every block,
+one-row and one-column blocks included, takes one path: the blocks whose
 shapes round up to the same multiples of 8 are packed into one
 (blocks, rows, words) stack and eliminated in lockstep, one Python iteration
 per column for the whole stack (the certificate coefficient matrices for
-n = 11 and 13 at t = 7 hold 1386 and 1638 such blocks, none over 76 rows,
-in 44 and 33 stacks).  The dense ``BitMatrix`` elimination stays separate: it is the
-independent route that the block ranks are checked against.
+n = 11 and 13 at t = 7 hold 1548 and 1822 blocks in 46 and 35 stacks).  The
+dense ``BitMatrix`` elimination stays separate: it is the independent route
+that the block ranks are checked against.
 """
 
 from __future__ import annotations
@@ -335,10 +336,10 @@ class SparseBitMatrix:
 
         Rows and columns in different components share no entry, so permuting
         them makes the matrix block diagonal and the rank is the sum of the
-        block ranks.  A block with one row or one column has rank 1.  Every
-        other block is packed, by the row and column indices of the component
-        pass, into a stack of blocks of its rounded shape, and each stack is
-        eliminated in lockstep (``_stack_rank``).
+        block ranks.  Every block is packed, by the row and column indices of
+        the component pass, into a stack of the blocks of its shape rounded up
+        to multiples of 8, and each stack is eliminated in lockstep
+        (``_stack_rank``).
         """
         if self.nnz == 0:
             return 0
@@ -362,36 +363,24 @@ class SparseBitMatrix:
         del low, new
         rows_in = np.bincount(label[:R], minlength=R + C)
         cols_in = np.bincount(label[R:], minlength=R + C)
-        single = (rows_in == 1) | (cols_in == 1)
-        total = int(np.count_nonzero(single))
         # the local index of a node is its position among its block's nodes of its kind
         local = np.concatenate([_rank_within(label[:R], rows_in), _rank_within(label[R:], cols_in)])
-        comp = label[r]
-        keep = ~single[comp]  # entries of the blocks left to eliminate
-        comp, lr, lc = comp[keep], local[r[keep]], local[c[keep]]
-        del r, c, keep, local, label
-        blocks = np.flatnonzero((rows_in > 1) & (cols_in > 1))
-        if blocks.size == 0:
-            return total
-        # one stack per shape rounded up to multiples of 8, blocks in label order
-        shape = ((rows_in[blocks] + 7) >> 3).astype(np.int64) << 32 | ((cols_in[blocks] + 7) >> 3)
-        shapes, bucket, per_bucket = np.unique(shape, return_inverse=True, return_counts=True)
-        slot = _rank_within(bucket, per_bucket)
-        rows8 = (shapes >> 32) << 3
-        words = (((shapes & 0xFFFFFFFF) << 3) + WORD - 1) // WORD
-        sizes = per_bucket * rows8 * words
-        start = np.cumsum(sizes) - sizes
-        # row i, word j of block b sits at offset[b] + i * stride[b] + j
-        stride = words[bucket]
-        offset = start[bucket] + slot * rows8[bucket] * stride
-        b = np.searchsorted(blocks, comp)
-        flat = offset[b] + lr * stride[b] + (lc >> 6)
-        buf = np.zeros(int(sizes.sum()), dtype=np.uint64)
-        np.bitwise_or.at(buf, flat, np.uint64(1) << (lc & 63).astype(np.uint64))
-        del comp, lr, lc, b, flat
-        for k in range(shapes.size):
-            stack = buf[start[k] : start[k] + sizes[k]].reshape(per_bucket[k], rows8[k], words[k])
-            total += _stack_rank(stack, int(shapes[k] & 0xFFFFFFFF) << 3)
+        comp, lr, lc = label[r], local[r], local[c]
+        del r, c, local, label
+        # sort the entries by (block shape rounded up to multiples of 8, block)
+        shape = ((rows_in + 7) >> 3).astype(np.int64) << 32 | ((cols_in + 7) >> 3)
+        order = np.lexsort((comp, shape[comp]))
+        comp, lr, lc = comp[order], lr[order], lc[order]
+        del order
+        shapes, starts, counts = np.unique(shape[comp], return_index=True, return_counts=True)
+        total = 0
+        for s, lo, hi in zip(shapes.tolist(), starts.tolist(), (starts + counts).tolist()):
+            blocks, slot = np.unique(comp[lo:hi], return_inverse=True)
+            cols = (s & 0xFFFFFFFF) << 3
+            stack = np.zeros((blocks.size, (s >> 32) << 3, (cols + WORD - 1) // WORD), dtype=np.uint64)
+            col = lc[lo:hi]
+            np.bitwise_or.at(stack, (slot, lr[lo:hi], col >> 6), np.uint64(1) << (col & 63).astype(np.uint64))
+            total += _stack_rank(stack, cols)
         return total
 
 

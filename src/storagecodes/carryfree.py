@@ -29,7 +29,7 @@ from .errors import BudgetError, ParameterError
 
 #: cost cap for direct enumeration: count_nm(m, r) covers the 4^m digit
 #: assignments (s, l1, l2) with s < 2^m, as set bits of shifted masks
-DEFAULT_ENUMERATION_BUDGET = 4 ** 14
+ENUMERATION_BUDGET = 4 ** 14
 
 #: b_set(s, r) decodes masks 2^(k+1) bits wide for s of k bits; cap k here
 _B_SET_MAX_BITS = 24
@@ -102,14 +102,14 @@ def b_set(s: int, r: int = 1) -> list[int]:
     return sorted(low + (j << r) for low, w in _b_values(s, r) for j in _bit_positions(w))
 
 
-def count_nm(m: int, r: int = 1, budget: int = DEFAULT_ENUMERATION_BUDGET) -> int:
+def count_nm(m: int, r: int = 1) -> int:
     """N_m = sum over s < 2^m of |b_set(s, r)|, by direct enumeration."""
     if m < 0:
         raise ParameterError("m must be non-negative")
     if r < 1:
         raise ParameterError("r must be a positive integer")
-    if 4 ** m > budget:
-        raise BudgetError(f"count_nm(m={m}) covers 4^{m} digit assignments (s, l1, l2), over budget {budget}")
+    if 4 ** m > ENUMERATION_BUDGET:
+        raise BudgetError(f"count_nm(m={m}) covers 4^{m} digit assignments (s, l1, l2), over budget {ENUMERATION_BUDGET}")
     return sum(_b_size(s, r) for s in range(1 << m))
 
 

@@ -31,11 +31,19 @@ def _meta(field: GF2m | None = None, **params) -> dict:
     return meta
 
 
+def _open_output(path: str):
+    """Open a path named on the command line for writing; failure is a parameter error."""
+    try:
+        return open(path, "w")
+    except OSError as err:
+        raise ParameterError(f"cannot write {path}: {err.strerror}") from None
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
     else:
-        with open(output, "w") as fh:
+        with _open_output(output) as fh:
             fh.write(text)
 
 
@@ -111,7 +119,7 @@ def cmd_graph(args) -> int:
         doc["triangle_free"] = triangle_free
         doc["connected"] = connected
     if args.export:
-        with open(args.export, "w") as fh:
+        with _open_output(args.export) as fh:
             graphs.export_edges(g, fh)
         doc["exported_to"] = args.export
     doc["meta"]["elapsed_ms"] = int(1000 * (time.perf_counter() - start))
@@ -131,7 +139,7 @@ def cmd_code_report(args) -> int:
             matrix = storage.d_matrix(params, field)
         else:
             matrix = report.h if args.dump == "H" else storage.w_matrix(report.h)
-        with open(args.dump_path, "w") as fh:
+        with _open_output(args.dump_path) as fh:
             matrix.dump(fh)
     doc["meta"] = _meta(field, n=args.n, m=args.m)
     doc["meta"]["elapsed_ms"] = int(1000 * (time.perf_counter() - start))
@@ -239,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "dump", None) and not args.dump_path:
-        parser.error("--dump needs --dump-path")
+    if bool(getattr(args, "dump", None)) != bool(getattr(args, "dump_path", None)):
+        parser.error("--dump and --dump-path each need the other")
     try:
         return args.handler(args)
     except ParameterError as err:

@@ -285,9 +285,11 @@ def certify_unit_rate(
 
     Stops at the first certifying t.  n = 1 is allowed here (the degenerate
     base certifies immediately at t = 1); the graph family itself starts at
-    n = 3.  On budget exhaustion the raised BudgetError carries the partial
-    trace in its ``trace`` attribute.
+    n = 3.  A budget below 1 raises ParameterError before any product; on
+    exhaustion the raised BudgetError carries the partial trace in ``trace``.
     """
+    if budget < 1:
+        raise ParameterError(f"budget={budget}: need a positive number of monomial pairs")
     trace: list[tuple[int, int, int]] = []
     try:
         for t, power in enumerate(mersenne_powers(poly_d(n), t_max, budget), start=1):

@@ -403,9 +403,10 @@ def test_block_rank_of_shuffled_block_diagonal_matrices(blocks, seed):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.booleans(), st.integers(1, 9)), max_size=12), st.integers(0, 2 ** 32 - 1))
+@given(st.lists(st.tuples(st.booleans(), st.integers(1, 130)), max_size=12), st.integers(0, 2 ** 32 - 1))
 def test_block_rank_of_single_row_and_single_column_blocks(shapes, seed):
-    # every block is 1 x k or k x 1 with all entries set, so each adds exactly 1
+    # every block is 1 x k or k x 1 with all entries set, so each adds exactly 1;
+    # k up to 130 makes the 1 x k blocks span up to three 64-bit words
     blocks = [[[True] * k] if wide else [[True]] * k for wide, k in shapes]
     s = shuffled_block_diagonal(blocks, seed)
     assert s.rank() == s.compact().rank() == len(blocks)

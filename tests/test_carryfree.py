@@ -127,9 +127,10 @@ def test_count_nm_small_values():
 
 
 def test_count_nm_budget_error():
+    # the cap is 4^14 digit assignments: m = 14 is the largest m inside it
+    assert count_nm(14, 1) == nm_recurrence(14)
     with pytest.raises(BudgetError):
         count_nm(15, 1)
-    assert count_nm(3, 1, budget=4 ** 3) == 48
 
 
 def test_recurrence_values():

@@ -222,6 +222,25 @@ def test_code_report_dump(capsys, tmp_path):
     assert loaded == coset_matrix(FamilyParams(3, 2), GF2m(2))
 
 
+@pytest.mark.parametrize("argv", [
+    ("field-info", "--m", "3", "--output", "{missing}/out.json"),
+    ("code-report", "--n", "3", "--m", "2", "--dump", "H", "--dump-path", "{missing}/h.txt"),
+    ("graph", "--n", "3", "--m", "1", "--export", "{missing}/edges.txt"),
+])
+def test_an_output_path_that_cannot_be_opened_exits_2(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, *(a.format(missing=tmp_path / "missing") for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("parameter error:")
+
+
+@pytest.mark.parametrize("argv", [("--dump", "H"), ("--dump-path", "h.txt")])
+def test_dump_and_dump_path_need_each_other(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["code-report", "--n", "3", "--m", "2", *argv])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_certify_json(capsys):
     doc = run_json(capsys, "certify", "--n", "3", "--t-max", "4")
     assert doc["certified"] is True
@@ -247,6 +266,17 @@ def test_certify_long_runs_need_extended_flag(capsys):
 def test_certify_parameter_error(capsys):
     code, _, _ = run_cli(capsys, "certify", "--n", "6", "--t-max", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_certify_rejects_a_budget_below_1_before_any_product(capsys, monkeypatch, budget):
+    def refuse(*args, **kwargs):
+        raise ProductFormed
+
+    monkeypatch.setattr(polyf2, "poly_mul", refuse)
+    code, out, err = run_cli(capsys, "certify", "--n", "7", "--t-max", "3", "--budget", budget)
+    assert (code, out) == (2, "")
+    assert err.startswith("parameter error:")
 
 
 def test_certify_rejects_an_exponent_past_the_packing_cap(capsys):
