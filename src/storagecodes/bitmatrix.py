@@ -214,8 +214,8 @@ class BitMatrix:
                     M[r] = M[p]
                     M[p] = tmp
                 rest = nz[1:] + r
-                if rest.size:
-                    M[rest] ^= M[r]
+                if rest.size:  # the pivot row is zero left of its pivot's word
+                    M[rest, word:] ^= M[r, word:]
                 pivots.append(c)
                 r += 1
                 if r == R:
@@ -237,9 +237,10 @@ class BitMatrix:
         one = np.uint64(1)
         for ri in range(len(pivots) - 1, 0, -1):
             c = pivots[ri]
-            hit = np.nonzero((M[:ri, c >> 6] >> np.uint64(c & 63)) & one)[0]
+            word = c >> 6
+            hit = np.nonzero((M[:ri, word] >> np.uint64(c & 63)) & one)[0]
             if hit.size:
-                M[hit] ^= M[ri]
+                M[hit, word:] ^= M[ri, word:]
         pivot_set = set(pivots)
         basis = []
         for f in range(self.cols):

@@ -1,14 +1,21 @@
 """Batch command line front end with machine-readable output.
 
 Subcommands: field-info, nm-table, graph, code-report, certify, verify-all.
-Reports are JSON (or CSV where noted) on stdout or at --output.  Exit codes:
-0 success, 2 parameter error, 3 budget error, 4 violated invariant or failed
-verification claim.
+``main`` does all of a request's I/O.  It opens every path named by --output,
+--dump-path and graph --export before any work, times the handler, stamps
+the elapsed time into a JSON report's ``meta`` and writes the report to
+--output or stdout.  A handler ``cmd_*(args, files)`` only returns its
+report, a dict (written as JSON) or CSV text; ``files`` maps each named
+output to the handle ``main`` opened, for dumps and edge exports.
+verify-all streams its claim lines itself and returns its exit code.
+Exit codes: 0 success, 2 parameter error, 3 budget error, 4 violated
+invariant or failed verification claim.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -39,23 +46,10 @@ def _open_output(path: str):
         raise ParameterError(f"cannot write {path}: {err.strerror}") from None
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None or output == "-":
-        sys.stdout.write(text)
-    else:
-        with _open_output(output) as fh:
-            fh.write(text)
-
-
-def _emit_json(doc: dict, output: str | None) -> None:
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", output)
-
-
-def cmd_field_info(args) -> int:
-    start = time.perf_counter()
+def cmd_field_info(args, files) -> dict:
     field = GF2m(args.m)
     terms = [i for i in range(args.m, -1, -1) if (field.modulus >> i) & 1]
-    doc = {
+    return {
         "meta": _meta(field, m=args.m),
         "m": args.m,
         "q": field.q,
@@ -63,13 +57,9 @@ def cmd_field_info(args) -> int:
         "modulus_binary": bin(field.modulus),
         "modulus_terms": terms,
     }
-    doc["meta"]["elapsed_ms"] = int(1000 * (time.perf_counter() - start))
-    _emit_json(doc, args.output)
-    return EXIT_OK
 
 
-def cmd_nm_table(args) -> int:
-    start = time.perf_counter()
+def cmd_nm_table(args, files) -> dict | str:
     if args.m_max < 0:
         raise ParameterError(f"m_max={args.m_max}: need a non-negative integer")
     rows = []
@@ -80,24 +70,19 @@ def cmd_nm_table(args) -> int:
         rows.append((m, args.r, value, bound, holds))
     rows.reverse()
     if args.format == "json":
-        doc = {
+        return {
             "meta": _meta(m_max=args.m_max, r=args.r),
             "rows": [
                 {"m": m, "r": r, "N_m": v, "bound": b, "bound_holds": h}
                 for m, r, v, b, h in rows
             ],
         }
-        doc["meta"]["elapsed_ms"] = int(1000 * (time.perf_counter() - start))
-        _emit_json(doc, args.output)
-    else:
-        lines = ["m,r,N_m,bound,bound_holds"]
-        lines += [f"{m},{r},{v},{b},{str(h).lower()}" for m, r, v, b, h in rows]
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    lines = ["m,r,N_m,bound,bound_holds"]
+    lines += [f"{m},{r},{v},{b},{str(h).lower()}" for m, r, v, b, h in rows]
+    return "\n".join(lines) + "\n"
 
 
-def cmd_graph(args) -> int:
-    start = time.perf_counter()
+def cmd_graph(args, files) -> dict:
     params = FamilyParams(args.n, args.m)
     field = GF2m(args.m)
     g = graphs.build_graph(params, field)
@@ -118,17 +103,13 @@ def cmd_graph(args) -> int:
             raise PropertyViolation("breadth-first search disagrees with the span test")
         doc["triangle_free"] = triangle_free
         doc["connected"] = connected
-    if args.export:
-        with _open_output(args.export) as fh:
-            graphs.export_edges(g, fh)
+    if args.export is not None:
+        graphs.export_edges(g, files["export"])
         doc["exported_to"] = args.export
-    doc["meta"]["elapsed_ms"] = int(1000 * (time.perf_counter() - start))
-    _emit_json(doc, args.output)
-    return EXIT_OK
+    return doc
 
 
-def cmd_code_report(args) -> int:
-    start = time.perf_counter()
+def cmd_code_report(args, files) -> dict | str:
     params = FamilyParams(args.n, args.m)
     field = GF2m(args.m)
     report = storage.code_report(params, field)
@@ -139,33 +120,30 @@ def cmd_code_report(args) -> int:
             matrix = storage.d_matrix(params, field)
         else:
             matrix = report.h if args.dump == "H" else storage.w_matrix(report.h)
-        with _open_output(args.dump_path) as fh:
-            matrix.dump(fh)
+        matrix.dump(files["dump_path"])
     doc["meta"] = _meta(field, n=args.n, m=args.m)
-    doc["meta"]["elapsed_ms"] = int(1000 * (time.perf_counter() - start))
-    if args.format == "csv":
-        rate = doc["rate_num"] / doc["rate_den"]
-        lines = [
-            "n,m,size,rank_H,rank_W,rank_D,dimension,rate_num,rate_den,rate,N_m",
-            f'{doc["n"]},{doc["m"]},{doc["size"]},{doc["rank_H"]},{doc["rank_W"]},'
-            f'{doc["rank_D"]},{doc["dimension"]},{doc["rate_num"]},{doc["rate_den"]},'
-            f'{rate:.6f},{doc["N_m"]}',
-        ]
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit_json(doc, args.output)
-    return EXIT_OK
+    if args.format == "json":
+        return doc
+    rate = doc["rate_num"] / doc["rate_den"]
+    lines = [
+        "n,m,size,rank_H,rank_W,rank_D,dimension,rate_num,rate_den,rate,N_m",
+        f'{doc["n"]},{doc["m"]},{doc["size"]},{doc["rank_H"]},{doc["rank_W"]},'
+        f'{doc["rank_D"]},{doc["dimension"]},{doc["rate_num"]},{doc["rate_den"]},'
+        f'{rate:.6f},{doc["N_m"]}',
+    ]
+    return "\n".join(lines) + "\n"
 
 
-def cmd_certify(args) -> int:
-    start = time.perf_counter()
-    heavy = args.n >= 11 and args.t_max >= 7
-    if heavy and not args.extended:
+def cmd_certify(args, files) -> dict:
+    # the budget is checked ahead of the --extended gate, so a bad one exits 2 for every n
+    if args.budget < 1:
+        raise ParameterError(f"budget={args.budget}: need a positive number of monomial pairs")
+    if args.n >= 11 and args.t_max >= 7 and not args.extended:
         raise BudgetError(
             f"n={args.n} at t_max={args.t_max} is a long run; pass --extended to allow it"
         )
     result = polyf2.certify_unit_rate(args.n, t_max=args.t_max, budget=args.budget)
-    doc = {
+    return {
         "meta": _meta(n=args.n, t_max=args.t_max),
         "n": result.n,
         "trace": [
@@ -175,13 +153,10 @@ def cmd_certify(args) -> int:
         "certified": result.certified,
         "t_star": result.t if result.certified else None,
         "c_constant": result.c_constant,
-        "elapsed_ms": int(1000 * (time.perf_counter() - start)),
     }
-    _emit_json(doc, args.output)
-    return EXIT_OK
 
 
-def cmd_verify_all(args) -> int:
+def cmd_verify_all(args, files) -> int:
     results = verification.run_all(args.budget, seed=args.seed, sink=sys.stdout)
     failed = [r for r in results if not r.ok]
     sys.stdout.write(
@@ -249,8 +224,27 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if bool(getattr(args, "dump", None)) != bool(getattr(args, "dump_path", None)):
         parser.error("--dump and --dump-path each need the other")
+    paths = {dest: getattr(args, dest, None) for dest in ("output", "dump_path", "export")}
+    if paths["output"] == "-":
+        paths["output"] = None
     try:
-        return args.handler(args)
+        with contextlib.ExitStack() as stack:
+            # every named path is opened before any work, so a bad one costs nothing
+            files = {
+                dest: stack.enter_context(_open_output(path))
+                for dest, path in paths.items()
+                if path is not None
+            }
+            clock = time.perf_counter
+            start = clock()
+            report = args.handler(args, files)
+            if isinstance(report, int):  # verify-all streams its own lines
+                return report
+            if isinstance(report, dict):
+                report["meta"]["elapsed_ms"] = int(1000 * (clock() - start))
+                report = json.dumps(report, indent=2, sort_keys=True) + "\n"
+            files.get("output", sys.stdout).write(report)
+            return EXIT_OK
     except ParameterError as err:
         print(f"parameter error: {err}", file=sys.stderr)
         return EXIT_PARAMETER

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from storagecodes import carryfree, polyf2, storage, verification
+from storagecodes import carryfree, graphs, polyf2, storage, verification
 from storagecodes.bitmatrix import BitMatrix
 from storagecodes.cli import main
 from storagecodes.field import GF2m
@@ -222,15 +222,48 @@ def test_code_report_dump(capsys, tmp_path):
     assert loaded == coset_matrix(FamilyParams(3, 2), GF2m(2))
 
 
+class WorkStarted(Exception):
+    """Raised in place of the computation behind a report."""
+
+
 @pytest.mark.parametrize("argv", [
     ("field-info", "--m", "3", "--output", "{missing}/out.json"),
     ("code-report", "--n", "3", "--m", "2", "--dump", "H", "--dump-path", "{missing}/h.txt"),
     ("graph", "--n", "3", "--m", "1", "--export", "{missing}/edges.txt"),
+    ("code-report", "--n", "3", "--m", "7", "--output", "{missing}/x.json"),
+    ("code-report", "--n", "3", "--m", "7", "--dump", "D", "--dump-path", "{missing}/d.txt"),
+    ("certify", "--n", "7", "--t-max", "6", "--output", "{missing}/c.json"),
 ])
-def test_an_output_path_that_cannot_be_opened_exits_2(capsys, tmp_path, argv):
+def test_an_output_path_that_cannot_be_opened_exits_2(capsys, monkeypatch, tmp_path, argv):
+    def refuse(*args, **kwargs):
+        raise WorkStarted
+
+    for module, name in [(storage, "code_report"), (graphs, "build_graph"),
+                         (polyf2, "certify_unit_rate")]:
+        monkeypatch.setattr(module, name, refuse)
     code, out, err = run_cli(capsys, *(a.format(missing=tmp_path / "missing") for a in argv))
     assert (code, out) == (2, "")
     assert err.startswith("parameter error:")
+
+
+def test_only_output_takes_a_dash_for_stdout(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    doc = run_json(capsys, "graph", "--n", "3", "--m", "1", "--export", "-", "--output", "-")
+    assert doc["exported_to"] == "-"
+    assert (tmp_path / "-").read_text().startswith("# cayley n=3 m=1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("field-info", "--m", "3"),
+    ("nm-table", "--m-max", "3", "--format", "json"),
+    ("graph", "--n", "3", "--m", "1"),
+    ("code-report", "--n", "3", "--m", "1"),
+    ("certify", "--n", "3", "--t-max", "2"),
+])
+def test_every_json_report_carries_elapsed_ms_in_meta(capsys, argv):
+    doc = run_json(capsys, *argv)
+    assert isinstance(doc["meta"]["elapsed_ms"], int)
+    assert "elapsed_ms" not in doc
 
 
 @pytest.mark.parametrize("argv", [("--dump", "H"), ("--dump-path", "h.txt")])
@@ -248,7 +281,7 @@ def test_certify_json(capsys):
     assert doc["trace"][0] == {"t": 1, "rank": 4, "threshold": 4}
     assert doc["trace"][-1]["rank"] == 12
     assert doc["c_constant"] == 4
-    assert "elapsed_ms" in doc
+    assert "elapsed_ms" in doc["meta"]
 
 
 def test_certify_full_run_for_n7(capsys):
@@ -268,13 +301,18 @@ def test_certify_parameter_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("budget", ["0", "-1"])
-def test_certify_rejects_a_budget_below_1_before_any_product(capsys, monkeypatch, budget):
+@pytest.mark.parametrize("argv", [
+    pytest.param(("--n", "7", "--t-max", "3", "--budget", "0"), id="0"),
+    pytest.param(("--n", "7", "--t-max", "3", "--budget", "-1"), id="-1"),
+    # a run the --extended gate would refuse: the bad budget is reported first
+    pytest.param(("--n", "11", "--t-max", "7", "--budget", "-1"), id="n11-unextended"),
+])
+def test_certify_rejects_a_budget_below_1_before_any_product(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise ProductFormed
 
     monkeypatch.setattr(polyf2, "poly_mul", refuse)
-    code, out, err = run_cli(capsys, "certify", "--n", "7", "--t-max", "3", "--budget", budget)
+    code, out, err = run_cli(capsys, "certify", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("parameter error:")
 
