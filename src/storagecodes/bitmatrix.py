@@ -51,7 +51,7 @@ DENSE_BITS = 1 << 28  # byte cap for dense expansions (one byte per bit) and pol
 
 
 def _words_per_row(cols: int) -> int:
-    return max((cols + WORD - 1) // WORD, 1) if cols else 0
+    return (cols + WORD - 1) // WORD
 
 
 def _int_to_words(value: int, cols: int) -> np.ndarray:
@@ -86,21 +86,6 @@ class BitMatrix:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.words[i, i >> 6] = np.uint64(1) << np.uint64(i & 63)
-        return m
-
-    @classmethod
-    def ones(cls, rows: int, cols: int) -> "BitMatrix":
-        m = cls(rows, cols)
-        if rows and cols:
-            m.words[:, :] = ~np.uint64(0)
-            m._mask_pad()
-        return m
-
-    @classmethod
     def from_dense(cls, arr) -> "BitMatrix":
         """Build from a 2-d array of 0/1 values."""
         a = np.asarray(arr)
@@ -108,8 +93,6 @@ class BitMatrix:
             raise ParameterError("need a 2-d array")
         rows, cols = a.shape
         m = cls(rows, cols)
-        if rows == 0 or cols == 0:
-            return m
         packed = np.packbits(a.astype(bool), axis=1, bitorder="little")
         buf = np.zeros((rows, _words_per_row(cols) * 8), dtype=np.uint8)
         buf[:, : packed.shape[1]] = packed
@@ -149,8 +132,6 @@ class BitMatrix:
     def to_dense(self) -> np.ndarray:
         if self.rows * self.cols > DENSE_BITS:
             raise BudgetError("dense expansion beyond the byte-per-bit cap")
-        if self.rows == 0 or self.cols == 0:
-            return np.zeros((self.rows, self.cols), dtype=np.uint8)
         bits = np.unpackbits(self.words.view(np.uint8), axis=1, bitorder="little")
         return bits[:, : self.cols]
 
@@ -320,8 +301,6 @@ class SparseBitMatrix:
         Dropping the untouched all-zero rows and columns does not change the
         rank, and the sorted key order makes the result reproducible.
         """
-        if self.nnz == 0:
-            return BitMatrix(0, 0)
         urows, ridx = np.unique(self._row_keys, return_inverse=True)
         ucols, cidx = np.unique(self._col_keys, return_inverse=True)
         R, C = int(urows.size), int(ucols.size)

@@ -206,14 +206,13 @@ def nm_closed_form(m: int) -> int:
     return p.u + 2 * p.v
 
 
-def nm_growth_bound_holds(m: int, value: int | None = None) -> bool:
+def nm_growth_bound_holds(m: int, value: int) -> bool:
     """Exact check of 2*N_m <= (1 + sqrt(2)) * (2 + sqrt(2))^m in Z[sqrt(2)].
 
     This is the r=1 growth bound with the 1/2 factor cleared; the conjugate
     term it drops is positive, so the inequality holds for every m.
     """
-    n_m = nm_closed_form(m) if value is None else value
-    lhs = Zsqrt2(2 * n_m, 0)
+    lhs = Zsqrt2(2 * value, 0)
     rhs = Zsqrt2(1, 1) * (Zsqrt2(2, 1) ** m)
     return lhs <= rhs
 

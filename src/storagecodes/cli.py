@@ -135,9 +135,10 @@ def cmd_code_report(args, files) -> dict | str:
 
 
 def cmd_certify(args, files) -> dict:
-    # the budget is checked ahead of the --extended gate, so a bad one exits 2 for every n
+    # a bad budget or n is reported with its own error, ahead of the --extended gate
     if args.budget < 1:
         raise ParameterError(f"budget={args.budget}: need a positive number of monomial pairs")
+    polyf2.poly_d(args.n)
     if args.n >= 11 and args.t_max >= 7 and not args.extended:
         raise BudgetError(
             f"n={args.n} at t_max={args.t_max} is a long run; pass --extended to allow it"

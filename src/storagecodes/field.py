@@ -43,7 +43,7 @@ def poly_degree(p: int) -> int:
 def poly_mod(a: int, b: int) -> int:
     """Remainder of carry-less division of a by b (b != 0)."""
     db = poly_degree(b)
-    while a.bit_length() - 1 >= db and a:
+    while a.bit_length() - 1 >= db:
         a ^= b << (a.bit_length() - 1 - db)
     return a
 
@@ -163,7 +163,7 @@ class GF2m:
     # ------------------------------------------------------------------
     def _build_tables(self) -> None:
         q = self.q
-        for g in range(2, q):
+        for g in range(1, q):
             v = 1
             order = 0
             while True:
@@ -173,16 +173,14 @@ class GF2m:
                     break
             if order == q - 1:
                 break
-        else:
-            g = 1  # only for q=2
-        exp = np.zeros(2 * (q - 1) if q > 2 else 2, dtype=np.int64)
+        exp = np.zeros(2 * (q - 1), dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         v = 1
-        for i in range(max(q - 1, 1)):
+        for i in range(q - 1):
             exp[i] = v
             log[v] = i
             v = self.mul(v, g)
-        exp[max(q - 1, 1):] = exp[: len(exp) - max(q - 1, 1)]
+        exp[q - 1 :] = exp[: q - 1]
         self._exp, self._log = exp, log
 
     @property
@@ -260,18 +258,11 @@ class FieldMatrix:
             raise ParameterError("hadamard needs equal fields and shapes")
         return FieldMatrix(self.field, self.field.mul_vec(self.values, other.values))
 
-    def add(self, other: "FieldMatrix") -> "FieldMatrix":
-        if self.field != other.field or self.shape != other.shape:
-            raise ParameterError("add needs equal fields and shapes")
-        return FieldMatrix(self.field, self.values ^ other.values)
-
     def rank(self) -> int:
         """Rank over GF(2^m) by Gaussian elimination with the log tables."""
         f = self.field
         V = self.values.copy()
         rows, cols = V.shape
-        if rows == 0 or cols == 0:
-            return 0
         exp, log = f.exp_table, f.log_table
         r = 0
         for c in range(cols):

@@ -64,7 +64,6 @@ def encode_vertex(x1: int, x2: int, m: int) -> int:
 class ConnectionSet:
     """The q vectors (a, a^n), canonically encoded and sorted."""
 
-    params: FamilyParams
     vectors: tuple[int, ...]
 
     @property
@@ -78,7 +77,7 @@ def connection_set(params: FamilyParams, field: GF2m) -> ConnectionSet:
     vecs = sorted(
         encode_vertex(a, field.pow(a, params.n), field.m) for a in field.elements()
     )
-    return ConnectionSet(params, tuple(vecs))
+    return ConnectionSet(tuple(vecs))
 
 
 @dataclass(frozen=True)

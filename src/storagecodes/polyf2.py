@@ -150,8 +150,6 @@ def poly_mul(p: SparsePoly, q: SparsePoly, budget: int = DEFAULT_MONOMIAL_BUDGET
     """Product over GF(2), with XOR-cancellation of colliding monomials."""
     if len(p) * len(q) > budget:
         raise BudgetError(f"product forms {len(p)}x{len(q)} monomial pairs, over budget {budget}")
-    if not p or not q:
-        return SparsePoly.zero()
     pe, qe = p.max_exponents(), q.max_exponents()
     if any(a + b > EXP_MAX for a, b in zip(pe, qe)):
         raise BudgetError(f"product exponents would exceed the {EXP_MAX} cap")

@@ -194,11 +194,10 @@ def sample_codewords(h: BitMatrix, count: int, seed: int) -> list[int]:
     out = []
     for _ in range(count):
         word = 0
-        if basis:
-            mask = rng.getrandbits(len(basis))
-            for i, b in enumerate(basis):
-                if (mask >> i) & 1:
-                    word ^= b
+        mask = rng.getrandbits(len(basis))
+        for i, b in enumerate(basis):
+            if (mask >> i) & 1:
+                word ^= b
         out.append(word)
     return out
 

@@ -12,7 +12,6 @@ Budgets:
 
 from __future__ import annotations
 
-import io
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -325,15 +324,14 @@ def run_claim(claim: Claim, budget: str, seed: int = DEFAULT_SEED) -> ClaimResul
     return ClaimResult(claim.name, ok, detail, elapsed)
 
 
-def run_all(budget: str, seed: int = DEFAULT_SEED, sink=None) -> list[ClaimResult]:
+def run_all(budget: str, seed: int = DEFAULT_SEED, *, sink) -> list[ClaimResult]:
     """Run every claim at the given budget, printing one line per claim."""
     if seed < 0:
         raise ParameterError(f"seed={seed}: need a non-negative integer")
-    out = sink or io.StringIO()
     results = []
     for claim in claims_for_budget(budget):
         res = run_claim(claim, budget, seed)
         results.append(res)
         status = "PASS" if res.ok else "FAIL"
-        out.write(f"{status}  {claim.name}: {claim.description} [{res.detail}] ({res.elapsed_ms} ms)\n")
+        sink.write(f"{status}  {claim.name}: {claim.description} [{res.detail}] ({res.elapsed_ms} ms)\n")
     return results

@@ -24,12 +24,30 @@ def sparse(entries) -> SparseBitMatrix:
     return SparseBitMatrix(keys(r for r, _ in entries), keys(c for _, c in entries))
 
 
+def eye(n: int) -> BitMatrix:
+    return BitMatrix.from_dense(np.eye(n, dtype=np.uint8))
+
+
+def ones(rows: int, cols: int) -> BitMatrix:
+    return BitMatrix.from_dense(np.ones((rows, cols), dtype=np.uint8))
+
+
 def test_rank_identity_and_allones():
     for n in (1, 2, 5, 64, 65):
-        assert BitMatrix.identity(n).rank() == n
-        assert BitMatrix.ones(n, n).rank() == 1
+        assert eye(n).rank() == n
+        assert ones(n, n).rank() == 1
     assert BitMatrix(3, 7).rank() == 0
     assert BitMatrix(0, 0).rank() == 0
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 5), (5, 0)])
+def test_zero_dimension_dense_round_trip(shape):
+    m = BitMatrix.from_dense(np.zeros(shape, dtype=np.uint8))
+    assert m == BitMatrix(*shape)
+    dense = m.to_dense()
+    assert dense.shape == shape and dense.dtype == np.uint8
+    assert m.rank() == 0
+    assert len(m.kernel_basis()) == shape[1]
 
 
 def test_rank_small_coset_example():
@@ -77,7 +95,7 @@ def test_rank_transpose_and_permutation_invariance():
 
 
 def test_kernel_identity_zero_and_coset_example():
-    assert BitMatrix.identity(6).kernel_basis() == []
+    assert eye(6).kernel_basis() == []
     zero = BitMatrix(5, 5)
     basis = zero.kernel_basis()
     assert len(basis) == 5
@@ -156,10 +174,10 @@ def test_rank_and_kernel_across_zero_words_of_tall_low_rank_matrices(m):
 
 
 def test_tensor_small_identities():
-    i2 = BitMatrix.identity(2)
-    assert i2.tensor(i2) == BitMatrix.identity(4)
-    j2 = BitMatrix.ones(2, 2)
-    assert j2.tensor(j2) == BitMatrix.ones(4, 4)
+    i2 = eye(2)
+    assert i2.tensor(i2) == eye(4)
+    j2 = ones(2, 2)
+    assert j2.tensor(j2) == ones(4, 4)
 
 
 def test_tensor_entry_layout():
@@ -192,7 +210,7 @@ def test_tensor_rank_multiplicative():
 def test_hadamard_identities_and_bound():
     rng = np.random.default_rng(505)
     a = BitMatrix.random(8, 8, rng)
-    assert a.hadamard(BitMatrix.ones(8, 8)) == a
+    assert a.hadamard(ones(8, 8)) == a
     assert a.hadamard(BitMatrix(8, 8)) == BitMatrix(8, 8)
     for _ in range(30):
         x = BitMatrix.random(8, 8, rng)
@@ -297,7 +315,9 @@ def test_budget_cap_on_dimensions():
 
 
 def test_sparse_compact_examples():
-    assert sparse([]).compact().rank() == 0
+    empty = sparse([]).compact()
+    assert (empty.rows, empty.cols) == (0, 0) and empty.rank() == 0
+    assert sparse([]).rank() == 0
     one = sparse([((5, 0), (0, 0))])
     m = one.compact()
     assert (m.rows, m.cols) == (1, 1)

@@ -213,7 +213,7 @@ def test_closed_form_equals_integer_part_of_conjugate_pair():
 
 def test_growth_bound_holds_exactly():
     for m in range(13):
-        assert nm_growth_bound_holds(m)
+        assert nm_growth_bound_holds(m, nm_closed_form(m))
 
 
 def test_fifteen_sixteenths_bound_values():

@@ -297,8 +297,11 @@ def test_certify_long_runs_need_extended_flag(capsys):
 
 
 def test_certify_parameter_error(capsys):
-    code, _, _ = run_cli(capsys, "certify", "--n", "6", "--t-max", "3")
-    assert code == 2
+    # n = 12 at t_max = 7 is a run the --extended gate would refuse: the even n is reported first
+    for n, t_max in (("6", "3"), ("12", "7")):
+        code, _, err = run_cli(capsys, "certify", "--n", n, "--t-max", t_max)
+        assert code == 2
+        assert err.startswith("parameter error: n=")
 
 
 @pytest.mark.parametrize("argv", [

@@ -88,6 +88,8 @@ def test_poly_d_rejects_exponents_past_the_packing_cap_before_listing_terms(monk
 def test_mul_identity_and_frobenius_square():
     d3 = poly_d(3)
     assert poly_mul(d3, SparsePoly.one()) == d3
+    assert poly_mul(d3, SparsePoly.zero()) == SparsePoly.zero()
+    assert poly_mul(SparsePoly.zero(), d3) == SparsePoly.zero()
     x1_plus_y1 = SparsePoly.from_monomials([(1, 0, 0, 0), (0, 0, 1, 0)])
     sq = poly_mul(x1_plus_y1, x1_plus_y1)
     assert mono_set(sq) == {Monomial(2, 0, 0, 0), Monomial(0, 0, 2, 0)}
