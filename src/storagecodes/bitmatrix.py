@@ -4,11 +4,19 @@ A BitMatrix stores each row in little-endian 64-bit words: bit j of row i
 lives in ``words[i, j >> 6]`` at position ``j & 63``.  Trailing pad bits are
 kept zero, so whole-word XOR/AND/popcount never need masking.
 
-Rank and kernel use word-packed Gaussian elimination with first-nonzero
-pivoting.  Elimination is vectorised across rows with numpy, which keeps a
-30000 x 30000 instance inside desk-scale time and memory (the packed words
-for that size are ~112 MB).  Results are deterministic and the input matrix
-is never modified.
+Rank and kernel share one forward elimination of a copy, run in 64-column
+strips in the manner of the Method of Four Russians (M4RI; Albrecht, Bard
+and Hart, ACM TOMS 36(2), 2010).  For each word the live rows' copies of that
+word form one contiguous uint64 vector, and the strip's pivots (first
+nonzero row for each column) are found there; each row records, as a 64-bit
+tag, which pivot rows it took.  The trailing words of every live row are
+then updated once per strip, by gathers from tables of all XORs of 8 pivot
+rows indexed by the tag bytes, and the pivot rows and the rows that came out
+zero stop being live.  Scratch is one working copy plus fixed-size pieces:
+the trailing words go in column panels whose tables fit 256 KiB, and each
+panel in row blocks of 128 KiB.  A 30000 x 30000 instance fits in desk-scale
+time and memory (the packed words for that size are ~112 MB).  Results are
+deterministic and the input matrix is never modified.
 
 Text dump format (also used by the CLI ``--dump`` option):
 
@@ -48,6 +56,9 @@ from .errors import BudgetError, ParameterError
 WORD = 64
 MAX_BITS = 1 << 33  # rows * cols cap; 2^33 bits = 1 GiB packed
 DENSE_BITS = 1 << 28  # byte cap for dense expansions (one byte per bit) and polyf2.eval_matrix
+_TABLE_WORDS = 1 << 15  # XOR-table words per column panel of a strip update (256 KiB)
+_BLOCK_WORDS = 1 << 14  # words per row block of a strip update (128 KiB)
+_DUMP_ROWS = 512  # rows per block of the hex dump
 
 
 def _words_per_row(cols: int) -> int:
@@ -61,6 +72,7 @@ def _int_to_words(value: int, cols: int) -> np.ndarray:
 
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+_HEX = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 
 
 class BitMatrix:
@@ -167,45 +179,62 @@ class BitMatrix:
 
     # -- elimination ----------------------------------------------------
 
-    def _echelon(self) -> tuple[np.ndarray, list[int]]:
-        """Forward elimination of a copy; returns (words, pivot columns).
+    def _echelon(self) -> tuple[np.ndarray, list[int], list[int]]:
+        """Forward elimination of a copy; returns (words, rows, pivot columns).
 
-        Row i of the result has its leading 1 in column pivots[i] and the
-        rows from len(pivots) on are zero.  Only rows below each pivot are
-        cleared, which is all that rank needs.
+        Row rows[i] of the result has its leading 1 in column pivots[i], and
+        every other row is zero.  The elimination runs one 64-column strip at
+        a time (``_strip_pivots``, ``_xor_tables``): each strip finds its
+        pivots in one word per live row, then updates the trailing words of
+        every live row once, and drops the pivot rows and the rows that came
+        out zero.  A strip that is zero in every live row is skipped, and the
+        loop ends once no row is live.
         """
         M = self.words.copy()
+        W = M.shape[1]
+        live = np.flatnonzero(M.any(axis=1))  # rows that may still take a pivot
+        rows: list[int] = []
         pivots: list[int] = []
-        R = self.rows
-        r = 0
-        one = np.uint64(1)
-        for word in range(M.shape[1]):
-            # Skip a word that is zero in every remaining row: later pivot
-            # rows come from those rows, so no XOR ever touches it.
-            if not M[r:, word].any():
+        for w in range(W):
+            if live.size == 0:
+                break
+            s = M[live, w]
+            nz = s.nonzero()[0]
+            if nz.size == 0:
                 continue
-            for c in range(word << 6, min((word + 1) << 6, self.cols)):
-                col = (M[r:, word] >> np.uint64(c & 63)) & one
-                nz = np.nonzero(col)[0]
-                if nz.size == 0:
-                    continue
-                p = r + int(nz[0])
-                if p != r:
-                    tmp = M[r].copy()
-                    M[r] = M[p]
-                    M[p] = tmp
-                rest = nz[1:] + r
-                if rest.size:  # the pivot row is zero left of its pivot's word
-                    M[rest, word:] ^= M[r, word:]
-                pivots.append(c)
-                r += 1
-                if r == R:
-                    return M, pivots
-        return M, pivots
+            strip_rows, s = live[nz], s[nz]
+            tags, prow, pbit = _strip_pivots(s)
+            M[strip_rows, w] = s  # pivot rows keep their word, all others are cleared
+            keep = np.ones(live.size, dtype=bool)
+            keep[nz] = False
+            if w + 1 < W:
+                pivot_rows = M[strip_rows[prow]]
+                tag_bytes = tags.view(np.uint8).reshape(-1, 8)
+                nonzero = np.zeros(nz.size, dtype=bool)
+                # the trailing words go in panels narrow enough for their tables to fit _TABLE_WORDS
+                panel = min(W - w - 1, _TABLE_WORDS // (256 * -(-len(prow) // 8)))
+                block_rows = _BLOCK_WORDS // panel
+                for c0 in range(w + 1, W, panel):
+                    cs = slice(c0, c0 + panel)
+                    tables = _xor_tables(pivot_rows[:, cs])
+                    for b0 in range(0, nz.size, block_rows):
+                        bs = slice(b0, b0 + block_rows)
+                        block = strip_rows[bs]
+                        X = M[block, cs]
+                        for g, table in enumerate(tables):
+                            X ^= np.take(table, tag_bytes[bs, g], axis=0)
+                        M[block, cs] = X
+                        nonzero[bs] |= X.any(axis=1)
+                nonzero[prow] = False
+                keep[nz] = nonzero
+            rows.extend(strip_rows[prow].tolist())
+            pivots.extend((w << 6) + b for b in pbit)
+            live = live[keep]
+        return M, rows, pivots
 
     def rank(self) -> int:
         """Rank over GF(2).  The matrix itself is left untouched."""
-        return len(self._echelon()[1])
+        return len(self._echelon()[2])
 
     def kernel_basis(self) -> list[int]:
         """A basis of {v : M v = 0}, as little-endian bit ints.
@@ -214,7 +243,8 @@ class BitMatrix:
         the reduced row echelon form, reached by back-substitution over the
         pivots of the forward elimination.
         """
-        M, pivots = self._echelon()
+        M, rows, pivots = self._echelon()
+        M = M[rows]
         one = np.uint64(1)
         for ri in range(len(pivots) - 1, 0, -1):
             c = pivots[ri]
@@ -241,10 +271,15 @@ class BitMatrix:
         """Write the documented hex dump format to a text stream."""
         fh.write(f"{self.rows} {self.cols}\n")
         digits = (self.cols + 3) // 4
-        for i in range(self.rows):
-            # reversed hex puts the digit for columns 0..3 first
-            fh.write(format(self.row_int(i), f"0{digits}x")[::-1] if digits else "")
-            fh.write("\n")
+        line = np.empty((_DUMP_ROWS, digits + 1), dtype=np.uint8)
+        line[:, digits] = ord("\n")
+        for r0 in range(0, self.rows, _DUMP_ROWS):
+            # byte j of a row holds columns 8j..8j+7: its low nibble is digit 2j
+            octets = self.words[r0 : r0 + _DUMP_ROWS].view(np.uint8)
+            out = line[: octets.shape[0]]
+            out[:, 0:digits:2] = _HEX[octets[:, : (digits + 1) // 2] & 15]
+            out[:, 1:digits:2] = _HEX[octets[:, : digits // 2] >> 4]
+            fh.write(out.tobytes().decode("ascii"))
 
     @classmethod
     def load(cls, fh) -> "BitMatrix":
@@ -271,6 +306,56 @@ class BitMatrix:
         if fh.read().strip():
             raise ParameterError(f"text after the last of {rows} rows")
         return cls.from_row_ints(vals, cols)
+
+
+def _strip_pivots(s: np.ndarray) -> tuple[np.ndarray, list[int], list[int]]:
+    """Eliminate one 64-column strip in place; returns (tags, pivot rows, pivot bits).
+
+    s holds the strip word of each row.  Pivot k is the first row with bit
+    pbit[k] set among the rows not yet pivots; it is XORed into every other
+    such row with that bit, and bit k of a row's tag records it.  A row's
+    tag thus names the pivot rows, as they were on entry, whose XOR turns the
+    row on entry into the row on return.  On return the pivot rows hold
+    their reduced words and every other row of s is zero.
+    """
+    tags = np.zeros(s.size, dtype="<u8")  # little-endian, so byte g of a tag is view byte g
+    hit = np.empty_like(s)
+    sel = np.empty_like(s)
+    signed = hit.view(np.int64)
+    prow: list[int] = []
+    pbit: list[int] = []
+    pval, ptag = [], []
+    seen = int(np.bitwise_or.reduce(s))
+    while seen:  # the lowest bit any non-pivot row holds is the next pivot column
+        b = (seen & -seen).bit_length() - 1
+        np.left_shift(s, np.uint64(63 - b), out=hit)
+        np.right_shift(signed, 63, out=signed)  # all ones in the rows with bit b
+        p = int(signed.argmin())
+        sp, tp = s[p], tags[p]
+        np.bitwise_and(hit, sp, out=sel)
+        s ^= sel  # clears bit b in every hit row, and all of the pivot row
+        np.bitwise_and(hit, tp | np.uint64(1 << len(prow)), out=sel)
+        tags ^= sel
+        prow.append(p)
+        pbit.append(b)
+        pval.append(sp)
+        ptag.append(tp)
+        seen = int(np.bitwise_or.reduce(s))
+    s[prow] = pval
+    tags[prow] = ptag
+    return tags, prow, pbit
+
+
+def _xor_tables(pivot_rows: np.ndarray) -> list[np.ndarray]:
+    """One table per 8 pivot rows: entry e of table g is the XOR of the rows 8g + j, j in e."""
+    tables = []
+    for g in range(0, pivot_rows.shape[0], 8):
+        group = pivot_rows[g : g + 8]
+        table = np.zeros((1 << group.shape[0], pivot_rows.shape[1]), dtype=np.uint64)
+        for j, row in enumerate(group):
+            np.bitwise_xor(table[: 1 << j], row, out=table[1 << j : 2 << j])
+        tables.append(table)
+    return tables
 
 
 class SparseBitMatrix:

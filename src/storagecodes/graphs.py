@@ -18,12 +18,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .bitmatrix import BitMatrix
 from .errors import BudgetError, ParameterError, PropertyViolation
 from .field import GF2m
 
 #: default cap on num_vertices^2 bits of adjacency or dense matrix storage (2^31 bits = 256 MiB)
 DEFAULT_GRAPH_BUDGET_BITS = 1 << 31
+_EXPORT_BLOCK = 512  # vertices per block of export_edges
 
 
 @dataclass(frozen=True)
@@ -199,12 +202,19 @@ def bfs_connected(graph: CayleyGraph) -> bool:
 def export_edges(graph: CayleyGraph, sink) -> None:
     """Write the edge list as text: a header, then one "u v" line per edge
     with u < v, vertices in the canonical integer encoding.
+
+    Lines come in order of u, then v.  The neighbours of u are u XOR s over
+    the nonzero connection vectors s, so each block of vertices takes its
+    lines from one sorted XOR table.
     """
     p = graph.params
     sink.write(
         f"# cayley n={p.n} m={p.m} vertices={graph.num_vertices} edges={graph.edge_count()}\n"
     )
-    for u in range(graph.num_vertices):
-        for v in graph.neighbors(u):
-            if v > u:
-                sink.write(f"{u} {v}\n")
+    steps = np.array(graph.connection.nonzero, dtype=np.int64)
+    for u0 in range(0, graph.num_vertices, _EXPORT_BLOCK):
+        u = np.arange(u0, min(u0 + _EXPORT_BLOCK, graph.num_vertices), dtype=np.int64)[:, None]
+        v = np.sort(u ^ steps, axis=1)
+        upper = v > u
+        pairs = np.stack([np.broadcast_to(u, v.shape)[upper], v[upper]], axis=1)
+        sink.write(("%d %d\n" * len(pairs)) % tuple(pairs.ravel().tolist()))

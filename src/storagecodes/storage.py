@@ -11,9 +11,9 @@ and d = (x1+y1)^n + x2 + y2 (polyf2.poly_d):
     D   the indicator of d + x1^n + y1^n != 0, i.e. W after the relabelling
         (x1, x2) -> (x1, x2 + x1^n), evaluated directly, never permuted from W.
 
-H is built from its first 64 rows by permuting whole words, and D is packed
-in row blocks; both raise BudgetError for m >= 8 (over
-DEFAULT_GRAPH_BUDGET_BITS) before allocating.  ``code_report`` ranks
+H is built from its first 64 rows by permuting whole words, and D by
+clearing its q^3 zeros in an all-ones matrix; both raise BudgetError for
+m >= 8 (over DEFAULT_GRAPH_BUDGET_BITS) before allocating.  ``code_report`` ranks
 H densely and W, D as reduced Fermat powers (polyf2.reduce_mod); the
 polynomial rank of 1 + red(d^(q-1)) must equal the dense rank of H.
 """
@@ -33,23 +33,12 @@ from .field import GF2m
 from .graphs import DEFAULT_GRAPH_BUDGET_BITS, CayleyGraph, FamilyParams, connection_set, exponent_r_plus
 from .polyf2 import SparsePoly, mersenne_powers, poly_d, poly_rank, reduce_mod
 
-_BLOCK_ROWS = 256  # rows per d_matrix block; each int32 temporary is 4 * q^2 bytes a row (16 MiB a block at m = 7)
-
 
 def _dense(n_vert: int) -> BitMatrix:
     """An all-zero n_vert x n_vert matrix, after the dense budget check."""
     if n_vert * n_vert > DEFAULT_GRAPH_BUDGET_BITS:
         raise BudgetError(f"dense matrix needs {n_vert}^2 bits, over budget {DEFAULT_GRAPH_BUDGET_BITS}")
     return BitMatrix(n_vert, n_vert)
-
-
-def _pack_rows(n_vert: int, block) -> BitMatrix:
-    """The n_vert x n_vert matrix whose rows sl are the bool array block(sl)."""
-    out = _dense(n_vert)
-    for r0 in range(0, n_vert, _BLOCK_ROWS):
-        sl = slice(r0, min(r0 + _BLOCK_ROWS, n_vert))
-        out.words[sl] = BitMatrix.from_dense(block(sl)).words
-    return out
 
 
 def coset_matrix(params: FamilyParams, field: GF2m) -> BitMatrix:
@@ -80,20 +69,27 @@ def w_matrix(h: BitMatrix) -> BitMatrix:
 
 
 def d_matrix(params: FamilyParams, field: GF2m) -> BitMatrix:
-    """The relabelled indicator matrix D, by direct evaluation for any odd n."""
+    """The relabelled indicator matrix D, by direct evaluation for any odd n.
+
+    Row (x1, x2) is zero exactly at the q columns (y1, y2) with
+    y2 = (x1+y1)^n + x2 + x1^n + y1^n, one per y1, so D starts all ones and
+    those q^3 bits are cleared, one block of q rows (one x1) at a time.
+    """
     if field.m != params.m:
         raise ParameterError(f"field degree {field.m} does not match m={params.m}")
     q = field.q
-    n_vert = q * q
-    ids = np.arange(n_vert, dtype=np.int32)
-    x1 = ids >> field.m
-    x2 = ids & (q - 1)
-    powers = field.pow_vec(np.arange(q, dtype=np.int64), params.n).astype(np.int32)
-    shift = (x2 ^ powers[x1]).astype(np.int32)  # x2 + x1^n per vertex
-    # (x1+y1)^n + (x2 + x1^n) + (y2 + y1^n) != 0
-    return _pack_rows(
-        n_vert, lambda sl: (powers[np.bitwise_xor.outer(x1[sl], x1)] ^ shift[sl, None] ^ shift) != 0
-    )
+    out = _dense(q * q).complement()
+    flat = out.words.reshape(-1)
+    wpr = out.words.shape[1]
+    a = np.arange(q, dtype=np.int64)
+    powers = field.pow_vec(a, params.n)
+    for x1 in range(q):
+        # zero columns of the rows (x1, x2): [x2, y1] -> y1 * q + y2
+        y2 = (powers[x1 ^ a] ^ powers[x1] ^ powers)[None, :] ^ a[:, None]
+        cols = a * q + y2
+        rows = x1 * q + a[:, None]
+        np.bitwise_xor.at(flat, rows * wpr + (cols >> 6), np.uint64(1) << (cols & 63).astype(np.uint64))
+    return out
 
 
 @dataclass(frozen=True)

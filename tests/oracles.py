@@ -67,6 +67,35 @@ def coset_matrix_by_xor_table(params, field) -> BitMatrix:
     return out
 
 
+def d_matrix_by_evaluation(params, field) -> BitMatrix:
+    """D[x][y] = [(x1+y1)^n + x2 + x1^n + y2 + y1^n != 0], one byte per entry, 256 rows at a time."""
+    q = field.q
+    n_vert = q * q
+    ids = np.arange(n_vert, dtype=np.int32)
+    x1 = ids >> field.m
+    x2 = ids & (q - 1)
+    powers = field.pow_vec(np.arange(q, dtype=np.int64), params.n).astype(np.int32)
+    shift = x2 ^ powers[x1]  # x2 + x1^n per vertex
+    out = BitMatrix(n_vert, n_vert)
+    for r0 in range(0, n_vert, 256):
+        sl = slice(r0, r0 + 256)
+        values = powers[np.bitwise_xor.outer(x1[sl], x1)] ^ shift[sl, None] ^ shift
+        out.words[sl] = BitMatrix.from_dense(values != 0).words
+    return out
+
+
+def export_edges_by_neighbors(graph, sink) -> None:
+    """The edge export, one line per neighbour v > u of each vertex u, from the adjacency rows."""
+    p = graph.params
+    sink.write(
+        f"# cayley n={p.n} m={p.m} vertices={graph.num_vertices} edges={graph.edge_count()}\n"
+    )
+    for u in range(graph.num_vertices):
+        for v in graph.neighbors(u):
+            if v > u:
+                sink.write(f"{u} {v}\n")
+
+
 def multinomial_parity_by_factorials(n: int, parts) -> int:
     total = math.factorial(n)
     for p in parts:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from storagecodes import bitmatrix
 from storagecodes.bitmatrix import BitMatrix, SparseBitMatrix
 from storagecodes.errors import BudgetError, ParameterError
 
@@ -171,6 +172,52 @@ def test_rank_and_kernel_across_zero_words_of_tall_low_rank_matrices(m):
     assert len(basis) == m.cols - rank
     assert all(mat_vec(m, v) == 0 for v in basis)
     assert pivot_rank(basis) == len(basis)
+
+
+STRIP_COLS = (0, 1, 63, 64, 65, 127, 128, 129, 200)
+
+
+def strip_matrix(kind: str, rows: int, cols: int, rng) -> BitMatrix:
+    """A rows x cols test matrix of one kind, for the strip boundaries of the elimination."""
+    if kind == "sparse":
+        dense = rng.random((rows, cols)) < 0.02
+    elif kind == "low-rank":  # a product through at most 5 dimensions
+        inner = int(rng.integers(1, 6))
+        dense = rng.integers(0, 2, (rows, inner)) @ rng.integers(0, 2, (inner, cols)) % 2
+    else:  # "dense", "zero-middle", "full-rank"
+        dense = rng.integers(0, 2, (rows, cols))
+    if kind == "zero-middle":
+        dense[:, 64:128] = 0  # whole words zero in every row between nonzero ones
+    if kind == "full-rank":  # an identity block makes the rank min(rows, cols)
+        k = min(rows, cols)
+        dense[:k, :k] = np.eye(k, dtype=dense.dtype)
+        dense[:k, :k] |= np.triu(rng.integers(0, 2, (k, k)), 1).astype(dense.dtype)
+    return BitMatrix.from_dense(dense)
+
+
+@pytest.mark.parametrize("tiny_scratch", [False, True])
+@pytest.mark.parametrize("cols", STRIP_COLS)
+@pytest.mark.parametrize("kind", ["sparse", "dense", "low-rank", "zero-middle", "full-rank"])
+def test_rank_and_kernel_at_strip_boundaries(kind, cols, tiny_scratch, monkeypatch):
+    if tiny_scratch:  # one-word panels for 8 tables and blocks of a few rows, so small shapes split
+        monkeypatch.setattr(bitmatrix, "_TABLE_WORDS", 256 * 8)
+        monkeypatch.setattr(bitmatrix, "_BLOCK_WORDS", 8)
+    rng = np.random.default_rng(cols * 7 + len(kind))
+    for rows in (1, 40, 64, 65, 300 if cols <= 65 else 150):
+        m = strip_matrix(kind, rows, cols, rng)
+        before = m.words.copy()
+        rank = m.rank()
+        assert np.array_equal(m.words, before)  # rank works on a copy
+        row_ints = [m.row_int(i) for i in range(rows)]
+        small = kind == "low-rank" or min(rows, cols) <= 12  # the span oracle is exponential in the rank
+        assert rank == (span_rank if small else pivot_rank)(row_ints), (rows, cols)
+        if kind == "full-rank":
+            assert rank == min(rows, cols)
+        basis = m.kernel_basis()
+        assert np.array_equal(m.words, before)
+        assert len(basis) == cols - rank
+        assert all(mat_vec(m, v) == 0 for v in basis)
+        assert pivot_rank(basis) == len(basis)
 
 
 def test_tensor_small_identities():

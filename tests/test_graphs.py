@@ -19,7 +19,7 @@ from storagecodes.graphs import (
     triangle_oracle,
 )
 
-from oracles import pivot_rank
+from oracles import export_edges_by_neighbors, pivot_rank
 
 
 def test_params_validation():
@@ -175,3 +175,13 @@ def test_export_edges_round_trip():
         adjacency[u] |= 1 << v
         adjacency[v] |= 1 << u
     assert adjacency == g.adjacency
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_export_edges_equals_the_neighbor_loop(n, m):
+    g = build_graph(FamilyParams(n, m), GF2m(m))
+    fast, slow = io.StringIO(), io.StringIO()
+    export_edges(g, fast)
+    export_edges_by_neighbors(g, slow)
+    assert fast.getvalue() == slow.getvalue()

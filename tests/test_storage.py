@@ -26,7 +26,7 @@ from storagecodes.storage import (
     w_matrix,
 )
 
-from oracles import coset_matrix_by_xor_table, mat_vec, span_rank
+from oracles import coset_matrix_by_xor_table, d_matrix_by_evaluation, mat_vec, span_rank
 
 
 def test_coset_matrix_smallest_member():
@@ -54,6 +54,17 @@ def test_coset_matrix_equals_the_xor_table(m):
     for n in (3, 5, 7, 9):
         params = FamilyParams(n, m)
         assert coset_matrix(params, f) == coset_matrix_by_xor_table(params, f), (n, m)
+
+
+@pytest.mark.parametrize("m", [
+    *range(1, 7),
+    pytest.param(7, marks=pytest.mark.extended),
+])
+def test_d_matrix_equals_the_evaluated_indicator(m):
+    f = GF2m(m)
+    for n in (3, 5, 7, 9):
+        params = FamilyParams(n, m)
+        assert d_matrix(params, f) == d_matrix_by_evaluation(params, f), (n, m)
 
 
 class DenseAllocation(Exception):
@@ -285,3 +296,8 @@ def test_rate_is_nondecreasing_over_the_computed_range():
 @pytest.mark.slow
 def test_exact_rank_golden_m6():
     assert coset_matrix(FamilyParams(3, 6), GF2m(6)).rank() == 1102
+
+
+@pytest.mark.extended
+def test_exact_rank_golden_m7():
+    assert coset_matrix(FamilyParams(3, 7), GF2m(7)).rank() == 3610
