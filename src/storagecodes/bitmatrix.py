@@ -15,8 +15,9 @@ rows indexed by the tag bytes, and the pivot rows and the rows that came out
 zero stop being live.  Scratch is one working copy plus fixed-size pieces:
 the trailing words go in column panels whose tables fit 256 KiB, and each
 panel in row blocks of 128 KiB.  A 30000 x 30000 instance fits in desk-scale
-time and memory (the packed words for that size are ~112 MB).  Results are
-deterministic and the input matrix is never modified.
+time and memory (the packed words for that size are ~112 MB).  The kernel
+is read off the elimination of [M^T | 0 | I].  Results are deterministic and
+the input matrix is never modified.
 
 Text dump format (also used by the CLI ``--dump`` option):
 
@@ -239,31 +240,25 @@ class BitMatrix:
     def kernel_basis(self) -> list[int]:
         """A basis of {v : M v = 0}, as little-endian bit ints.
 
-        Returns cols - rank vectors; standard free-column construction from
-        the reduced row echelon form, reached by back-substitution over the
-        pivots of the forward elimination.
+        Returns cols - rank vectors, read off one ``_echelon`` of
+        [M^T | 0 | I] whose identity half starts on a word boundary.  Each
+        row of the result is a sum of rows of [M^T | I], and its identity
+        half v names them; a row whose pivot falls in the identity half has
+        M^T half v^T M^T = 0, and these rows are independent by their
+        distinct pivots.
         """
-        M, rows, pivots = self._echelon()
-        M = M[rows]
-        one = np.uint64(1)
-        for ri in range(len(pivots) - 1, 0, -1):
-            c = pivots[ri]
-            word = c >> 6
-            hit = np.nonzero((M[:ri, word] >> np.uint64(c & 63)) & one)[0]
-            if hit.size:
-                M[hit, word:] ^= M[ri, word:]
-        pivot_set = set(pivots)
-        basis = []
-        for f in range(self.cols):
-            if f in pivot_set:
-                continue
-            v = 1 << f
-            fw, fb = f >> 6, np.uint64(f & 63)
-            for ri, c in enumerate(pivots):
-                if (M[ri, fw] >> fb) & one:
-                    v |= 1 << c
-            basis.append(v)
-        return basis
+        left = _words_per_row(self.rows) * WORD
+        aug = BitMatrix(self.cols, left + self.cols)
+        octets = aug.words.view(np.uint8)  # byte k of a row holds columns 8k..8k+7
+        for w in range(self.words.shape[1]):  # the columns in word w of M are rows 64w.. of M^T
+            bits = np.unpackbits(self.words[:, w : w + 1].view(np.uint8), axis=1, bitorder="little")
+            block = np.packbits(bits[:, : self.cols - (w << 6)].T, axis=1, bitorder="little")
+            octets[w << 6 : (w << 6) + block.shape[0], : block.shape[1]] = block
+        j = np.arange(self.cols)
+        aug.words[j, (left + j) >> 6] = np.uint64(1) << (j & 63).astype(np.uint64)
+        words, rows, pivots = aug._echelon()
+        half = words[:, left // WORD :]
+        return [int.from_bytes(half[r].tobytes(), "little") for r, c in zip(rows, pivots) if c >= left]
 
     # -- text dump ------------------------------------------------------
 
@@ -285,7 +280,8 @@ class BitMatrix:
     def load(cls, fh) -> "BitMatrix":
         """Read the dump format back; anything but an exact dump is rejected.
 
-        Raises ParameterError for a header that is not two non-negative
+        Raises BudgetError for a header over MAX_BITS, before any row is
+        read, and ParameterError for a header that is not two non-negative
         integers, missing rows, a row that is not exactly ceil(cols/4) hex
         digits or sets a pad bit, and non-blank text after the last row.
         """
@@ -293,6 +289,8 @@ class BitMatrix:
         if len(header) != 2 or not all(h.isascii() and h.isdigit() for h in header):
             raise ParameterError("dump header is not two non-negative integers")
         rows, cols = int(header[0]), int(header[1])
+        if rows * cols > MAX_BITS:  # refused before a row is read
+            raise BudgetError(f"dump of {rows}x{cols} bits exceeds the {MAX_BITS}-bit cap")
         digits = (cols + 3) // 4
         vals = []
         for i in range(rows):

@@ -1,12 +1,13 @@
 """Batch command line front end with machine-readable output.
 
 Subcommands: field-info, nm-table, graph, code-report, certify, verify-all.
-``main`` does all of a request's I/O.  It opens every path named by --output,
---dump-path and graph --export before any work, times the handler, stamps
-the elapsed time into a JSON report's ``meta`` and writes the report to
---output or stdout.  A handler ``cmd_*(args, files)`` only returns its
-report, a dict (written as JSON) or CSV text; ``files`` maps each named
-output to the handle ``main`` opened, for dumps and edge exports.
+``main`` does all of a request's I/O.  It refuses two of --output,
+--dump-path and graph --export that name one file, opens every named path
+before any work, times the handler, stamps the elapsed time into a JSON
+report's ``meta`` and writes the report to --output or stdout.  A handler
+``cmd_*(args, files)`` only returns its report, a dict (written as JSON) or
+CSV text; ``files`` maps each named output to the handle ``main`` opened,
+for dumps and edge exports.
 verify-all streams its claim lines itself and returns its exit code.
 Exit codes: 0 success, 2 parameter error, 3 budget error, 4 violated
 invariant or failed verification claim.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 
@@ -229,6 +231,9 @@ def main(argv=None) -> int:
     if paths["output"] == "-":
         paths["output"] = None
     try:
+        real = [os.path.realpath(path) for path in paths.values() if path is not None]
+        if len(set(real)) < len(real):  # checked before opening, as opening truncates
+            raise ParameterError("two of --output, --dump-path and --export name one file")
         with contextlib.ExitStack() as stack:
             # every named path is opened before any work, so a bad one costs nothing
             files = {

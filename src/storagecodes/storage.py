@@ -11,11 +11,12 @@ and d = (x1+y1)^n + x2 + y2 (polyf2.poly_d):
     D   the indicator of d + x1^n + y1^n != 0, i.e. W after the relabelling
         (x1, x2) -> (x1, x2 + x1^n), evaluated directly, never permuted from W.
 
-H is built from its first 64 rows by permuting whole words, and D by
-clearing its q^3 zeros in an all-ones matrix; both raise BudgetError for
-m >= 8 (over DEFAULT_GRAPH_BUDGET_BITS) before allocating.  ``code_report`` ranks
-H densely and W, D as reduced Fermat powers (polyf2.reduce_mod); the
-polynomial rank of 1 + red(d^(q-1)) must equal the dense rank of H.
+H and D come from one zero-set builder: every row holds q zeros of d, or of
+d + x1^n + y1^n for D, one per y1, and D is that matrix complemented.  Both
+raise BudgetError for m >= 8 (over DEFAULT_GRAPH_BUDGET_BITS) before
+allocating.  ``code_report`` ranks H densely and W, D as reduced Fermat
+powers (polyf2.reduce_mod); the polynomial rank of 1 + red(d^(q-1)) must
+equal the dense rank of H.
 """
 
 from __future__ import annotations
@@ -26,39 +27,42 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitmatrix import WORD, BitMatrix
+from .bitmatrix import BitMatrix
 from .carryfree import count_nm, nm_growth_bound_holds
 from .errors import BudgetError, ParameterError, PropertyViolation
 from .field import GF2m
-from .graphs import DEFAULT_GRAPH_BUDGET_BITS, CayleyGraph, FamilyParams, connection_set, exponent_r_plus
+from .graphs import DEFAULT_GRAPH_BUDGET_BITS, CayleyGraph, FamilyParams, exponent_r_plus
 from .polyf2 import SparsePoly, mersenne_powers, poly_d, poly_rank, reduce_mod
 
 
-def _dense(n_vert: int) -> BitMatrix:
-    """An all-zero n_vert x n_vert matrix, after the dense budget check."""
-    if n_vert * n_vert > DEFAULT_GRAPH_BUDGET_BITS:
-        raise BudgetError(f"dense matrix needs {n_vert}^2 bits, over budget {DEFAULT_GRAPH_BUDGET_BITS}")
-    return BitMatrix(n_vert, n_vert)
+def _zero_set(params: FamilyParams, field: GF2m, relabel: bool) -> BitMatrix:
+    """The q^2 x q^2 indicator of d = 0, or of d + x1^n + y1^n = 0 if relabel.
+
+    Row (x1, x2) holds exactly q ones, one for each y1, at
+    y2 = (x1+y1)^n + x2, plus x1^n + y1^n if relabel; they are set one block
+    of q rows (one x1) at a time, after the dense budget check.
+    """
+    if field.m != params.m:
+        raise ParameterError(f"field degree {field.m} does not match m={params.m}")
+    q = field.q
+    if q**4 > DEFAULT_GRAPH_BUDGET_BITS:
+        raise BudgetError(f"dense matrix needs {q * q}^2 bits, over budget {DEFAULT_GRAPH_BUDGET_BITS}")
+    out = BitMatrix(q * q, q * q)
+    a = np.arange(q, dtype=np.int64)
+    powers = field.pow_vec(a, params.n)
+    shift = powers if relabel else np.zeros_like(powers)
+    for x1 in range(q):
+        # marked columns of the rows (x1, x2): [x2, y1] -> y1 * q + y2
+        y2 = (powers[x1 ^ a] ^ shift[x1] ^ shift)[None, :] ^ a[:, None]
+        cols = a * q + y2
+        rows = x1 * q + a[:, None]
+        np.bitwise_or.at(out.words, (rows, cols >> 6), np.uint64(1) << (cols & 63).astype(np.uint64))
+    return out
 
 
 def coset_matrix(params: FamilyParams, field: GF2m) -> BitMatrix:
-    """The q^2 x q^2 coset matrix H of the connection set.
-
-    H[x][y] depends on x XOR y only, so for x = 64k + l word j of row x is
-    word k XOR j of row l: the first 64 rows are built from the indicator,
-    and every further run of 64 rows is those rows with their words permuted.
-    """
-    n_vert = 1 << (2 * field.m)
-    out = _dense(n_vert)
-    indicator = np.zeros(n_vert, dtype=bool)
-    indicator[list(connection_set(params, field).vectors)] = True
-    base_rows = min(n_vert, WORD)
-    ids = np.arange(n_vert, dtype=np.int32)
-    base = BitMatrix.from_dense(indicator[np.bitwise_xor.outer(ids[:base_rows], ids)]).words
-    words = np.arange(out.words.shape[1])
-    for k in words:
-        out.words[k * base_rows : (k + 1) * base_rows] = base[:, words ^ k]
-    return out
+    """The q^2 x q^2 coset matrix H: the zeros of d, one per y1 in each row."""
+    return _zero_set(params, field, relabel=False)
 
 
 def w_matrix(h: BitMatrix) -> BitMatrix:
@@ -69,26 +73,10 @@ def w_matrix(h: BitMatrix) -> BitMatrix:
 
 
 def d_matrix(params: FamilyParams, field: GF2m) -> BitMatrix:
-    """The relabelled indicator matrix D, by direct evaluation for any odd n.
-
-    Row (x1, x2) is zero exactly at the q columns (y1, y2) with
-    y2 = (x1+y1)^n + x2 + x1^n + y1^n, one per y1, so D starts all ones and
-    those q^3 bits are cleared, one block of q rows (one x1) at a time.
-    """
-    if field.m != params.m:
-        raise ParameterError(f"field degree {field.m} does not match m={params.m}")
-    q = field.q
-    out = _dense(q * q).complement()
-    flat = out.words.reshape(-1)
-    wpr = out.words.shape[1]
-    a = np.arange(q, dtype=np.int64)
-    powers = field.pow_vec(a, params.n)
-    for x1 in range(q):
-        # zero columns of the rows (x1, x2): [x2, y1] -> y1 * q + y2
-        y2 = (powers[x1 ^ a] ^ powers[x1] ^ powers)[None, :] ^ a[:, None]
-        cols = a * q + y2
-        rows = x1 * q + a[:, None]
-        np.bitwise_xor.at(flat, rows * wpr + (cols >> 6), np.uint64(1) << (cols & 63).astype(np.uint64))
+    """The relabelled indicator matrix D: the zero set of d + x1^n + y1^n, complemented in place."""
+    out = _zero_set(params, field, relabel=True)
+    np.invert(out.words, out=out.words)
+    out._mask_pad()
     return out
 
 

@@ -361,6 +361,27 @@ def test_budget_cap_on_dimensions():
         BitMatrix(1 << 17, 1 << 17)
 
 
+class CountingReader(io.StringIO):
+    """A text stream that counts its readline calls."""
+
+    lines_read = 0
+
+    def readline(self, *args):
+        self.lines_read += 1
+        return super().readline(*args)
+
+
+def test_load_checks_the_size_cap_before_reading_a_row():
+    over = CountingReader("131072 131072\n0\n")
+    with pytest.raises(BudgetError):
+        BitMatrix.load(over)
+    assert over.lines_read == 1  # the header only
+    at_cap = CountingReader(f"1 {bitmatrix.MAX_BITS}\n")
+    with pytest.raises(ParameterError, match="ends after 0 of 1 rows"):
+        BitMatrix.load(at_cap)
+    assert at_cap.lines_read == 2
+
+
 def test_sparse_compact_examples():
     empty = sparse([]).compact()
     assert (empty.rows, empty.cols) == (0, 0) and empty.rank() == 0

@@ -226,6 +226,16 @@ class WorkStarted(Exception):
     """Raised in place of the computation behind a report."""
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise WorkStarted
+
+    for module, name in [(storage, "code_report"), (graphs, "build_graph"),
+                         (polyf2, "certify_unit_rate")]:
+        monkeypatch.setattr(module, name, refuse)
+
+
 @pytest.mark.parametrize("argv", [
     ("field-info", "--m", "3", "--output", "{missing}/out.json"),
     ("code-report", "--n", "3", "--m", "2", "--dump", "H", "--dump-path", "{missing}/h.txt"),
@@ -234,16 +244,26 @@ class WorkStarted(Exception):
     ("code-report", "--n", "3", "--m", "7", "--dump", "D", "--dump-path", "{missing}/d.txt"),
     ("certify", "--n", "7", "--t-max", "6", "--output", "{missing}/c.json"),
 ])
-def test_an_output_path_that_cannot_be_opened_exits_2(capsys, monkeypatch, tmp_path, argv):
-    def refuse(*args, **kwargs):
-        raise WorkStarted
-
-    for module, name in [(storage, "code_report"), (graphs, "build_graph"),
-                         (polyf2, "certify_unit_rate")]:
-        monkeypatch.setattr(module, name, refuse)
+def test_an_output_path_that_cannot_be_opened_exits_2(capsys, no_work, tmp_path, argv):
     code, out, err = run_cli(capsys, *(a.format(missing=tmp_path / "missing") for a in argv))
     assert (code, out) == (2, "")
     assert err.startswith("parameter error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ("code-report", "--n", "3", "--m", "2", "--output", "same.txt", "--dump", "H", "--dump-path", "same.txt"),
+    ("code-report", "--n", "3", "--m", "2", "--dump", "D", "--dump-path", "sub/../same.txt", "--output", "./same.txt"),
+    ("graph", "--n", "3", "--m", "1", "--export", "same.txt", "--output", "{tmp}/same.txt"),
+    ("graph", "--n", "3", "--m", "1", "--export", "link.txt", "--output", "same.txt"),
+])
+def test_two_outputs_naming_one_file_exit_2(capsys, monkeypatch, no_work, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.txt").symlink_to("same.txt")
+    code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("parameter error:") and "name one file" in err
+    assert not (tmp_path / "same.txt").exists()  # refused before any path is opened
 
 
 def test_only_output_takes_a_dash_for_stdout(capsys, monkeypatch, tmp_path):

@@ -45,13 +45,21 @@ def test_coset_matrix_symmetric_with_unit_diagonal():
         assert (dense.sum(axis=1) == 1 << m).all()
 
 
+def builder_exponents(m: int) -> list[int]:
+    """3, 5, 7, 9 and the exponents at pow_vec's edges: q - 1 where it is > 1,
+    which sends every nonzero element to 1 and 0 to 0, and q + 1, 127 and 129,
+    which wrap mod q - 1."""
+    q = 1 << m
+    return sorted({3, 5, 7, 9, q + 1, 127, 129} | ({q - 1} if q > 2 else set()))
+
+
 @pytest.mark.parametrize("m", [
     *range(1, 7),
     pytest.param(7, marks=pytest.mark.extended),
 ])
 def test_coset_matrix_equals_the_xor_table(m):
     f = GF2m(m)
-    for n in (3, 5, 7, 9):
+    for n in builder_exponents(m):
         params = FamilyParams(n, m)
         assert coset_matrix(params, f) == coset_matrix_by_xor_table(params, f), (n, m)
 
@@ -62,7 +70,7 @@ def test_coset_matrix_equals_the_xor_table(m):
 ])
 def test_d_matrix_equals_the_evaluated_indicator(m):
     f = GF2m(m)
-    for n in (3, 5, 7, 9):
+    for n in builder_exponents(m):
         params = FamilyParams(n, m)
         assert d_matrix(params, f) == d_matrix_by_evaluation(params, f), (n, m)
 
