@@ -180,10 +180,11 @@ class BitMatrix:
 
     # -- elimination ----------------------------------------------------
 
-    def _echelon(self) -> tuple[np.ndarray, list[int], list[int]]:
-        """Forward elimination of a copy; returns (words, rows, pivot columns).
+    @staticmethod
+    def _echelon(M: np.ndarray) -> tuple[list[int], list[int]]:
+        """Forward elimination of the word array M, in place; returns (rows, pivot columns).
 
-        Row rows[i] of the result has its leading 1 in column pivots[i], and
+        Afterwards row rows[i] of M has its leading 1 in column pivots[i], and
         every other row is zero.  The elimination runs one 64-column strip at
         a time (``_strip_pivots``, ``_xor_tables``): each strip finds its
         pivots in one word per live row, then updates the trailing words of
@@ -191,7 +192,6 @@ class BitMatrix:
         out zero.  A strip that is zero in every live row is skipped, and the
         loop ends once no row is live.
         """
-        M = self.words.copy()
         W = M.shape[1]
         live = np.flatnonzero(M.any(axis=1))  # rows that may still take a pivot
         rows: list[int] = []
@@ -231,11 +231,11 @@ class BitMatrix:
             rows.extend(strip_rows[prow].tolist())
             pivots.extend((w << 6) + b for b in pbit)
             live = live[keep]
-        return M, rows, pivots
+        return rows, pivots
 
     def rank(self) -> int:
         """Rank over GF(2).  The matrix itself is left untouched."""
-        return len(self._echelon()[2])
+        return len(self._echelon(self.words.copy())[1])
 
     def kernel_basis(self) -> list[int]:
         """A basis of {v : M v = 0}, as little-endian bit ints.
@@ -256,8 +256,8 @@ class BitMatrix:
             octets[w << 6 : (w << 6) + block.shape[0], : block.shape[1]] = block
         j = np.arange(self.cols)
         aug.words[j, (left + j) >> 6] = np.uint64(1) << (j & 63).astype(np.uint64)
-        words, rows, pivots = aug._echelon()
-        half = words[:, left // WORD :]
+        rows, pivots = self._echelon(aug.words)
+        half = aug.words[:, left // WORD :]
         return [int.from_bytes(half[r].tobytes(), "little") for r, c in zip(rows, pivots) if c >= left]
 
     # -- text dump ------------------------------------------------------

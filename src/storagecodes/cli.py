@@ -131,7 +131,7 @@ def cmd_code_report(args, files) -> dict | str:
         "n,m,size,rank_H,rank_W,rank_D,dimension,rate_num,rate_den,rate,N_m",
         f'{doc["n"]},{doc["m"]},{doc["size"]},{doc["rank_H"]},{doc["rank_W"]},'
         f'{doc["rank_D"]},{doc["dimension"]},{doc["rate_num"]},{doc["rate_den"]},'
-        f'{rate:.6f},{doc["N_m"]}',
+        f'{rate:.6f},{"" if doc["N_m"] is None else doc["N_m"]}',
     ]
     return "\n".join(lines) + "\n"
 

@@ -107,14 +107,14 @@ class CayleyGraph:
 def build_graph(params: FamilyParams, field: GF2m) -> CayleyGraph:
     """Materialise the graph with adjacency bit rows.
 
-    Needs num_vertices^2 bits; DEFAULT_GRAPH_BUDGET_BITS admits m <= 7.
+    Needs num_vertices^2 bits, checked first; DEFAULT_GRAPH_BUDGET_BITS admits m <= 7.
     """
-    conn = connection_set(params, field)
     n_vert = 1 << (2 * field.m)
     if n_vert * n_vert > DEFAULT_GRAPH_BUDGET_BITS:
         raise BudgetError(
             f"adjacency for m={field.m} needs {n_vert}^2 bits, over budget {DEFAULT_GRAPH_BUDGET_BITS}"
         )
+    conn = connection_set(params, field)
     nonzero = conn.nonzero
     adjacency = [0] * n_vert
     for v in range(n_vert):

@@ -1,13 +1,15 @@
-"""One-shot verification of every checkable claim, at three budgets.
+"""One-shot verification of every checkable claim, at two budgets.
 
 Each claim is a named function returning (ok, detail).  The registry drives
 both the CLI ``verify-all`` subcommand and the acceptance test module, so
 there is a single definition of what gets checked.
 
+A claim takes only the seed: its parameter ranges are fixed, and the
+budget only selects which claims run.
+
 Budgets:
-    quick     reduced parameter ranges (m <= 4, n in {3, 5, 7, 9})
-    full      the complete core suite, including the t=6 certificate
-    extended  adds the two long certificates behind the extended flag
+    full      the eleven core claims, including the t=6 certificate
+    extended  adds the two long certificates for n = 11 and n = 13
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .errors import ParameterError
 from .field import GF2m
 from .graphs import FamilyParams
 
-QUICK, FULL, EXTENDED = "quick", "full", "extended"
-BUDGETS = (QUICK, FULL, EXTENDED)
+FULL, EXTENDED = "full", "extended"
+BUDGETS = (FULL, EXTENDED)
 
 DEFAULT_SEED = 2024
 
@@ -45,7 +47,7 @@ def _fields(ms):
 # claim bodies; each returns (ok, detail)
 # ----------------------------------------------------------------------
 
-def claim_counting_goldens(budget: str, seed: int):
+def claim_counting_goldens(seed: int):
     """b_0..b_3 and the first two N values, exact."""
     got_b = [len(carryfree.b_set(s, 1)) for s in range(4)]
     got_n = [carryfree.count_nm(m, 1) for m in (1, 2)]
@@ -53,9 +55,9 @@ def claim_counting_goldens(budget: str, seed: int):
     return ok, f"b_0..b_3={got_b} N_1,N_2={got_n}"
 
 
-def claim_sequence_agreement(budget: str, seed: int):
+def claim_sequence_agreement(seed: int):
     """Enumeration, both recurrences and the closed form agree."""
-    top = 8 if budget == QUICK else 12
+    top = 12
     bad = []
     for m in range(top + 1):
         vals = {carryfree.count_nm(m, 1), carryfree.nm_recurrence(m), carryfree.nm_closed_form(m)}
@@ -66,9 +68,9 @@ def claim_sequence_agreement(budget: str, seed: int):
     return not bad, f"m<=:{top} disagreements={bad or 'none'}"
 
 
-def claim_bset_structure_laws(budget: str, seed: int):
+def claim_bset_structure_laws(seed: int):
     """Split, product and all-ones laws for the b-sets (r = 1)."""
-    top_bits = 8 if budget == QUICK else 12
+    top_bits = 12
     lim = 1 << top_bits
     sizes = {}
 
@@ -91,7 +93,7 @@ def claim_bset_structure_laws(budget: str, seed: int):
                     return False, f"product law fails at s={s}, gap bit {z}"
     # split law on random split points, as full sets
     rng = np.random.default_rng(seed)
-    trials = 50 if budget == QUICK else 200
+    trials = 200
     for _ in range(trials):
         s = int(rng.integers(0, lim))
         k = int(rng.integers(1, top_bits))
@@ -103,7 +105,7 @@ def claim_bset_structure_laws(budget: str, seed: int):
     return True, f"s<2^{top_bits}, {trials} random splits"
 
 
-def claim_generalized_counting(budget: str, seed: int):
+def claim_generalized_counting(seed: int):
     """Generalized counts: 4^k below r, the r+1 cap, the 15/16-power bound."""
     for r in range(1, 5):
         for k in range(r + 1):
@@ -113,7 +115,7 @@ def claim_generalized_counting(budget: str, seed: int):
         val = carryfree.count_nm(r + 1, r)
         if val > 15 * 4 ** (r - 1):
             return False, f"r+1 cap fails at r={r}: {val}"
-    top = 6 if budget == QUICK else 10
+    top = 10
     for m in range(top + 1):
         value, holds = carryfree.nm_bound(m, 2)
         if not holds:
@@ -121,9 +123,9 @@ def claim_generalized_counting(budget: str, seed: int):
     return True, f"r<=4 prefix counts, r+1 caps, 15/16 bound to m={top}"
 
 
-def claim_rank_sandwich_substitution(budget: str, seed: int):
+def claim_rank_sandwich_substitution(seed: int):
     """|rank(H) - rank(W)| <= 1 and rank(W) = rank(D), family n = 3."""
-    top = 4 if budget == QUICK else 5
+    top = 5
     details = []
     for m in range(1, top + 1):
         rep = storage.code_report(FamilyParams(3, m))
@@ -133,9 +135,9 @@ def claim_rank_sandwich_substitution(budget: str, seed: int):
     return True, "ranks " + " ".join(f"m={m}:{h}/{w}/{d}" for m, h, w, d in details)
 
 
-def claim_rank_counting_bound(budget: str, seed: int):
+def claim_rank_counting_bound(seed: int):
     """rank(D) <= N_m for n = 3 (r=1) and n = 5, 9 (r = 2, 3)."""
-    for n, top in ((3, 4 if budget == QUICK else 5), (5, 4), (9, 4)):
+    for n, top in ((3, 5), (5, 4), (9, 4)):
         for m in range(1, top + 1):
             rep = storage.code_report(FamilyParams(n, m))
             if not rep.nm_ok:
@@ -143,7 +145,7 @@ def claim_rank_counting_bound(budget: str, seed: int):
     return True, "all pairs inside the monomial-count bound"
 
 
-def claim_rank_ratio_trend(budget: str, seed: int):
+def claim_rank_ratio_trend(seed: int):
     """rank(H_m)/4^m strictly decreasing and <= (N_m + 1)/4^m, n = 3, m = 1..6.
 
     Note: the computed ranks give the exact ratio 1/2 at both m = 1 and
@@ -153,7 +155,7 @@ def claim_rank_ratio_trend(budget: str, seed: int):
     """
     from fractions import Fraction
 
-    top = 4 if budget == QUICK else 6
+    top = 6
     ratios = []
     for m in range(1, top + 1):
         f = GF2m(m)
@@ -172,9 +174,9 @@ def claim_rank_ratio_trend(budget: str, seed: int):
     return True, detail
 
 
-def claim_graph_criteria(budget: str, seed: int):
+def claim_graph_criteria(seed: int):
     """Triangle scans vs gcd rules vs brute force; span vs BFS; edge counts."""
-    top_m = 4 if budget == QUICK else 5
+    top_m = 5
     fields = _fields(range(1, top_m + 1))
     # triangle agreement for n = 2^r + 1 and 2^r - 1, r <= 3; connectivity
     # (span test vs BFS), regularity and edge count for every odd n <= 15
@@ -198,9 +200,9 @@ def claim_graph_criteria(budget: str, seed: int):
     return True, f"n odd <= 15, m <= {top_m}"
 
 
-def claim_repair_property(budget: str, seed: int):
+def claim_repair_property(seed: int):
     """Seeded codewords repair everywhere; one-bit corruptions never do."""
-    count = 25 if budget == QUICK else 100
+    count = 100
     rng = np.random.default_rng(seed + 1)
     for n in (3, 5):
         for m in (2, 3):
@@ -218,11 +220,11 @@ def claim_repair_property(budget: str, seed: int):
     return True, f"{count} samples per member, corruptions rejected"
 
 
-def claim_rank_product_laws(budget: str, seed: int):
+def claim_rank_product_laws(seed: int):
     """Tensor multiplicativity, entrywise submultiplicativity, doubling
     invariance, and evaluation rank = coefficient rank for large fields."""
     rng = np.random.default_rng(seed + 2)
-    trials = 25 if budget == QUICK else 100
+    trials = 100
     for _ in range(trials):
         a = bitmatrix.BitMatrix.random(6, 6, rng)
         b = bitmatrix.BitMatrix.random(6, 6, rng)
@@ -233,7 +235,7 @@ def claim_rank_product_laws(budget: str, seed: int):
         b = bitmatrix.BitMatrix.random(8, 8, rng)
         if a.hadamard(b).rank() > a.rank() * b.rank():
             return False, "entrywise-product rank bound fails"
-    poly_trials = 15 if budget == QUICK else 50
+    poly_trials = 50
     for k in range(poly_trials):
         p = _random_poly(rng, max_monos=50, max_exp=9)
         r0 = polyf2.poly_rank(p)
@@ -247,18 +249,14 @@ def claim_rank_product_laws(budget: str, seed: int):
     return True, f"{trials} matrix pairs, {poly_trials} polynomials per law"
 
 
-def claim_certificate_base(budget: str, seed: int):
+def claim_certificate_base(seed: int):
     """The t = 6 certificate for n = 7: rank 3256 against threshold 4096."""
-    if budget == QUICK:
-        res = polyf2.certify_unit_rate(3, t_max=2)
-        ok = res.certified and res.t == 2 and res.trace[0][1] == 4
-        return ok, f"n=3 certifies at t={res.t} with rank {res.poly_rank}"
     res = polyf2.certify_unit_rate(7, t_max=6)
     ok = res.certified and res.t == 6 and res.poly_rank == 3256 and res.threshold == 4096
     return ok, f"n=7: t={res.t} rank={res.poly_rank} threshold={res.threshold}"
 
 
-def claim_certificates_extended(budget: str, seed: int):
+def claim_certificates_extended(seed: int):
     """The two long certificates: n = 11 and n = 13 at t = 7."""
     got = []
     for n, expected in ((11, 15018), (13, 14442)):
@@ -284,47 +282,45 @@ class Claim:
     name: str
     description: str
     level: str  # minimum budget at which the claim runs
-    fn: Callable[[str, int], tuple[bool, str]]
+    fn: Callable[[int], tuple[bool, str]]  # seed -> (ok, detail)
 
 
 CLAIMS: tuple[Claim, ...] = (
-    Claim("counting-goldens", "b-set sizes and first N values", QUICK, claim_counting_goldens),
-    Claim("sequence-agreement", "enumeration = recurrences = closed form", QUICK, claim_sequence_agreement),
-    Claim("bset-structure-laws", "split, product and all-ones laws", QUICK, claim_bset_structure_laws),
-    Claim("generalized-counting", "prefix counts, r+1 cap, 15/16-power bound", QUICK, claim_generalized_counting),
-    Claim("rank-sandwich-substitution", "complement sandwich and relabelling invariance", QUICK, claim_rank_sandwich_substitution),
-    Claim("rank-counting-bound", "rank(D) within the monomial count", QUICK, claim_rank_counting_bound),
-    Claim("rank-ratio-trend", "parity-check rank ratio trend and growth bound", QUICK, claim_rank_ratio_trend),
-    Claim("graph-criteria", "triangle and connectivity criteria vs oracles", QUICK, claim_graph_criteria),
-    Claim("repair-property", "sampled codewords repair, corruptions fail", QUICK, claim_repair_property),
-    Claim("rank-product-laws", "tensor, entrywise, doubling and evaluation laws", QUICK, claim_rank_product_laws),
-    Claim("certificate-base", "the first certifying exponent for n = 7", QUICK, claim_certificate_base),
+    Claim("counting-goldens", "b-set sizes and first N values", FULL, claim_counting_goldens),
+    Claim("sequence-agreement", "enumeration = recurrences = closed form", FULL, claim_sequence_agreement),
+    Claim("bset-structure-laws", "split, product and all-ones laws", FULL, claim_bset_structure_laws),
+    Claim("generalized-counting", "prefix counts, r+1 cap, 15/16-power bound", FULL, claim_generalized_counting),
+    Claim("rank-sandwich-substitution", "complement sandwich and relabelling invariance", FULL, claim_rank_sandwich_substitution),
+    Claim("rank-counting-bound", "rank(D) within the monomial count", FULL, claim_rank_counting_bound),
+    Claim("rank-ratio-trend", "parity-check rank ratio trend and growth bound", FULL, claim_rank_ratio_trend),
+    Claim("graph-criteria", "triangle and connectivity criteria vs oracles", FULL, claim_graph_criteria),
+    Claim("repair-property", "sampled codewords repair, corruptions fail", FULL, claim_repair_property),
+    Claim("rank-product-laws", "tensor, entrywise, doubling and evaluation laws", FULL, claim_rank_product_laws),
+    Claim("certificate-base", "the first certifying exponent for n = 7", FULL, claim_certificate_base),
     Claim("certificates-extended", "long certificates for n = 11 and n = 13", EXTENDED, claim_certificates_extended),
 )
-
-_LEVEL_ORDER = {QUICK: 0, FULL: 1, EXTENDED: 2}
 
 
 def claims_for_budget(budget: str) -> list[Claim]:
     if budget not in BUDGETS:
         raise ValueError(f"unknown budget {budget!r}")
-    return [c for c in CLAIMS if _LEVEL_ORDER[c.level] <= _LEVEL_ORDER[budget]]
+    return [c for c in CLAIMS if BUDGETS.index(c.level) <= BUDGETS.index(budget)]
 
 
-def run_claim(claim: Claim, budget: str, seed: int = DEFAULT_SEED) -> ClaimResult:
+def run_claim(claim: Claim, seed: int = DEFAULT_SEED) -> ClaimResult:
     start = time.perf_counter()
-    ok, detail = claim.fn(budget, seed)
+    ok, detail = claim.fn(seed)
     elapsed = int(1000 * (time.perf_counter() - start))
     return ClaimResult(claim.name, ok, detail, elapsed)
 
 
 def run_all(budget: str, seed: int = DEFAULT_SEED, *, sink) -> list[ClaimResult]:
-    """Run every claim at the given budget, printing one line per claim."""
+    """Run the claims the budget selects, printing one line per claim."""
     if seed < 0:
         raise ParameterError(f"seed={seed}: need a non-negative integer")
     results = []
     for claim in claims_for_budget(budget):
-        res = run_claim(claim, budget, seed)
+        res = run_claim(claim, seed)
         results.append(res)
         status = "PASS" if res.ok else "FAIL"
         sink.write(f"{status}  {claim.name}: {claim.description} [{res.detail}] ({res.elapsed_ms} ms)\n")

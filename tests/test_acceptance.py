@@ -1,4 +1,4 @@
-"""Acceptance suite: one test per verification claim, at the full budget.
+"""Acceptance suite: one test per verification claim.
 
 Each test prints a PASS/FAIL line (visible with ``pytest -s``) and then
 asserts, so a red test pinpoints the claim and its detail string.  All
@@ -20,9 +20,9 @@ import pytest
 from storagecodes import verification
 
 
-def _run(name: str, budget: str = verification.FULL) -> None:
+def _run(name: str) -> None:
     claim = next(c for c in verification.CLAIMS if c.name == name)
-    res = verification.run_claim(claim, budget)
+    res = verification.run_claim(claim)
     status = "PASS" if res.ok else "FAIL"
     print(f"{status}  {name}: {res.detail} ({res.elapsed_ms} ms)")
     assert res.ok, f"{name}: {res.detail}"
@@ -74,4 +74,4 @@ def test_criterion_11_certificate_base():
 
 @pytest.mark.extended
 def test_criterion_12_certificates_extended():
-    _run("certificates-extended", verification.EXTENDED)
+    _run("certificates-extended")

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -276,6 +277,23 @@ def test_kernel_vectors_pass_repair_via_the_graph():
             if w:
                 low = w & -w
                 assert not verify_repair(g, w ^ low)
+
+
+def test_kernel_of_the_m6_member_eliminates_its_augmented_matrix_in_place():
+    # [H^T | 0 | I] is 4096 x 8192 bits, 4 MB; a second copy of it took the peak to 9.6 MB
+    h = coset_matrix(FamilyParams(3, 6), GF2m(6))
+    before = h.words.copy()
+    tracemalloc.start()
+    try:
+        basis = h.kernel_basis()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7_000_000
+    assert np.array_equal(h.words, before)
+    assert len(basis) == 2994 == h.cols - h.rank()
+    assert BitMatrix.from_row_ints(basis, h.cols).rank() == 2994
+    assert not any(mat_vec(h, v) for v in basis[::97])
 
 
 def test_code_dimension_matches_kernel_and_span():
