@@ -145,7 +145,15 @@ def cmd_certify(args, files) -> dict:
         raise BudgetError(
             f"n={args.n} at t_max={args.t_max} is a long run; pass --extended to allow it"
         )
-    result = polyf2.certify_unit_rate(args.n, t_max=args.t_max, budget=args.budget)
+    try:
+        result = polyf2.certify_unit_rate(args.n, t_max=args.t_max, budget=args.budget)
+    except BudgetError as err:
+        if not err.trace:
+            raise
+        ranks = ", ".join(
+            f"t={t} rank {rank} (threshold {threshold})" for t, rank, threshold in err.trace
+        )
+        raise BudgetError(f"{err}; ranks so far: {ranks}") from err
     return {
         "meta": _meta(n=args.n, t_max=args.t_max),
         "n": result.n,

@@ -134,3 +134,9 @@ def poly_mul_by_dict(p_monomials, q_monomials) -> set:
             m = tuple(x + y for x, y in zip(a, b))
             acc ^= {m}
     return acc
+
+
+def xor_reduce_by_counts(codes: np.ndarray) -> np.ndarray:
+    """The codes that occur an odd number of times, sorted, from np.unique's counts."""
+    vals, counts = np.unique(codes, return_counts=True)
+    return vals[(counts & 1) == 1]

@@ -453,6 +453,27 @@ def test_block_rank_equals_flat_rank_on_random_keys(entries, data):
     assert SparseBitMatrix(rows, cols).rank() == SparseBitMatrix(rows, cols).compact().rank()
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=60), st.data())
+def test_block_rank_leaves_the_key_arrays_unchanged(entries, data):
+    # the matrix holds the caller's uint64 arrays themselves, so rank must sort copies
+    if entries:
+        entries = entries + data.draw(st.lists(st.sampled_from(entries), max_size=20))
+    rows = key_array([r for r, _ in entries])
+    cols = key_array([c for _, c in entries])
+    before = rows.copy(), cols.copy()
+    SparseBitMatrix(rows, cols).rank()
+    assert np.array_equal(rows, before[0]) and np.array_equal(cols, before[1])
+
+
+def test_block_rank_refuses_more_entries_than_int32_labels_can_number(monkeypatch):
+    # rows and columns share one int32 label space, so the cap keeps R + C below 2^31
+    monkeypatch.setattr(bitmatrix, "_MAX_ENTRIES", 3)
+    assert sparse([((0, 0), (0, 0)), ((1, 0), (1, 0))]).rank() == 2
+    with pytest.raises(BudgetError):
+        sparse([((i, 0), (i, 0)) for i in range(3)]).rank()
+
+
 def dense_blocks(max_blocks=8, max_side=6):
     side = st.integers(1, max_side)
     block = st.tuples(side, side).flatmap(

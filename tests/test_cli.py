@@ -357,6 +357,16 @@ def test_certify_rejects_a_budget_below_1_before_any_product(capsys, monkeypatch
     assert err.startswith("parameter error:")
 
 
+def test_certify_budget_stop_reports_the_ranks_already_computed(capsys):
+    # n = 7: t = 2 forms 10x10 pairs, t = 3 would form 44x10, over the budget of 100
+    code, out, err = run_cli(capsys, "certify", "--n", "7", "--t-max", "6", "--budget", "100")
+    assert (code, out) == (3, "")
+    assert err == (
+        "budget error: product forms 44x10 monomial pairs, over budget 100; ranks so far: "
+        "t=1 rank 8 (threshold 4), t=2 rank 24 (threshold 16)\n"
+    )
+
+
 def test_certify_rejects_an_exponent_past_the_packing_cap(capsys):
     code, out, err = run_cli(capsys, "certify", "--n", str(2 ** 18 - 1), "--t-max", "1")
     assert (code, out) == (3, "")

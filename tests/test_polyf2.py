@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from storagecodes.polyf2 import (
 )
 from storagecodes.storage import coset_matrix, w_matrix
 
-from oracles import poly_mul_by_dict, span_rank
+from oracles import poly_mul_by_dict, span_rank, xor_reduce_by_counts
 
 
 def mono_set(p: SparsePoly) -> set:
@@ -103,6 +105,71 @@ def test_mul_matches_dict_oracle(p_monos, q_monos):
     q = SparsePoly.from_monomials(q_monos)
     want = poly_mul_by_dict(p.monomials(), q.monomials())
     assert mono_set(poly_mul(p, q)) == want
+
+
+@st.composite
+def code_multisets(draw):
+    """Shuffled uint64 codes whose runs of equal codes have every length 1..5.
+
+    The values include 0 and 2^64 - 1 and small codes that collide often.
+    """
+    values = st.one_of(
+        st.sampled_from([0, 2 ** 64 - 1]), st.integers(0, 7), st.integers(0, 2 ** 64 - 1)
+    )
+    runs = draw(st.lists(st.tuples(values, st.integers(1, 5)), max_size=30))
+    return draw(st.permutations([v for v, k in runs for _ in range(k)]))
+
+
+def xor_reduce_in_chunks(codes, chunk):
+    with mock.patch.object(polyf2, "_RUN_CHUNK", chunk):
+        return polyf2._xor_reduce(np.array(codes, dtype=np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_multisets(), st.sampled_from([1, 2, 3, 7, polyf2._RUN_CHUNK]))
+def test_xor_reduce_matches_the_unique_counts_oracle(codes, chunk):
+    # chunks of 1, 2, 3 and 7 codes split runs across chunk boundaries
+    want = xor_reduce_by_counts(np.array(codes, dtype=np.uint64))
+    got = xor_reduce_in_chunks(codes, chunk)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
+
+
+TOP = 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("codes, want", [
+    ([], []),
+    ([5], [5]),
+    ([9] * 7, [9]),
+    ([9] * 8, []),
+    ([TOP, 0, TOP, 0, 0], [0]),
+    ([TOP, 3, TOP, TOP, 3], [TOP]),
+    ([0, TOP], [0, TOP]),
+])
+@pytest.mark.parametrize("chunk", [1, 2, 3, polyf2._RUN_CHUNK])
+def test_xor_reduce_examples(codes, want, chunk):
+    assert xor_reduce_in_chunks(codes, chunk).tolist() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_lists(), monomial_lists(), st.integers(1, 3))
+def test_products_sums_and_reductions_leave_their_operands_unchanged(p_monos, q_monos, m):
+    # _xor_reduce sorts and compacts its argument in place, so every caller must hand it a fresh array
+    p = SparsePoly.from_monomials(p_monos)
+    q = SparsePoly.from_monomials(q_monos)
+    before = p._codes.copy(), q._codes.copy()
+    results = [
+        poly_mul(p, q),
+        poly_mul(p, p),
+        p + q,
+        p + p,
+        reduce_mod(p, m),
+        SparsePoly.from_monomials(p.monomials()),
+    ]
+    assert np.array_equal(p._codes, before[0]) and np.array_equal(q._codes, before[1])
+    for r in results:
+        assert not np.shares_memory(r._codes, p._codes) and not np.shares_memory(r._codes, q._codes)
 
 
 def test_addition_is_symmetric_difference():
@@ -422,6 +489,45 @@ def test_certify_trace_regression_n11_n13(n, ranks):
     res = certify_unit_rate(n, t_max=7)
     assert res.trace == tuple((t, rank, 4 ** t) for t, rank in enumerate(ranks, start=1))
     assert res.certified and res.t == 7
+
+
+@pytest.mark.extended
+def test_certify_trace_n19_to_t10():
+    # past the benchmark's sizes: about 20 s and 0.5 GB peak RSS on a 2-core host;
+    # the t = 10 product forms 22.2M monomial pairs and its matrix holds 9.86M entries
+    ranks = (8, 34, 170, 620, 2000, 6896, 23890, 85350, 302074, 1093896)
+    res = certify_unit_rate(19, t_max=10)
+    assert res.trace == tuple((t, rank, 4 ** t) for t, rank in enumerate(ranks, start=1))
+    assert not res.certified and res.poly_rank >= 4 ** 10
+
+
+def test_product_of_the_n13_t7_power_reduces_its_pairs_in_place():
+    # 197120 pairs of 8-byte sums take 1.6 MB; np.unique's sorted copy, index
+    # and count arrays took the peak to 6.5 MB, about 33 bytes per pair
+    d = poly_d(13)
+    acc, f = mersenne_power(d, 6), frobenius(d, 6)
+    tracemalloc.start()
+    try:
+        product = poly_mul(acc, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(acc) * len(f), len(product)) == (197120, 84192)
+    assert peak <= 2_500_000
+
+
+def test_block_rank_of_the_n13_t7_power_holds_int32_labels():
+    # 84192 entries: the keys take 16 bytes each; np.unique's int64 inverses
+    # and the lexsort of the entries took the peak to 6.75 MB, about 80 bytes per entry
+    power = mersenne_power(poly_d(13), 7)
+    tracemalloc.start()
+    try:
+        rank = poly_rank(power)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(power), rank) == (84192, 14442)
+    assert peak <= 3_700_000
 
 
 def test_submultiplicativity_chain():
