@@ -28,26 +28,27 @@ Text dump format (also used by the CLI ``--dump`` option):
 
 ``BitMatrix.load`` accepts exactly this format and nothing else.
 
-SparseBitMatrix holds only the positions of 1-entries, as packed uint64 keys
-of integer pairs (for coefficient matrices the keys are exponent pairs); a
-position listed twice is still one 1-entry.  Ranks are
+SparseBitMatrix holds only the positions of 1-entries, in one uint64 array
+of entries row << 32 | col (a coefficient matrix holds the polynomial's own
+monomial codes); a position listed twice is still one 1-entry.  Ranks are
 invariant under dropping all-zero rows and columns, so ``compact`` maps the
-occupied keys, in sorted order, onto a dense BitMatrix.  ``rank`` splits the
-matrix into the connected components of its row-column graph instead: the
-matrix is block diagonal up to a permutation, so its rank is the sum of the
-block ranks.  The component pass also gives every entry its block and its
-row and column within the block, so no block is compacted.  Every block,
-one-row and one-column blocks included, takes one path: the blocks whose
-shapes round up to the same multiples of 8 are packed into one
-(blocks, rows, words) stack and eliminated in lockstep, one Python iteration
-per column for the whole stack (the certificate coefficient matrices for
-n = 11 and 13 at t = 7 hold 1548 and 1822 blocks in 46 and 35 stacks).  The
+occupied rows and columns, in sorted order, onto a dense BitMatrix.
+``rank`` splits the matrix into the connected components of its row-column
+graph instead: the matrix is block diagonal up to a permutation, so its
+rank is the sum of the block ranks.  The component pass also gives every
+entry its block and its row and column within the block, so no block is
+compacted.  Every block, one-row and one-column blocks included, takes one
+path: the blocks whose shapes round up to the same multiples of 8 are
+packed into one (blocks, rows, words) stack and eliminated in lockstep, one
+Python iteration per column for the whole stack (the certificate
+coefficient matrices for n = 11 and 13 at t = 7 hold 1548 and 1822 blocks
+in 46 and 35 stacks).  The
 component pass labels rows and columns in int32, and each entry becomes one
-int64 bit position in the stacks laid end to end, so besides the 16 bytes of
-its keys ``rank`` holds about 24 bytes per entry: 3.3 MB with the keys for
-the 84192 entries of n = 13 at t = 7.  The dense ``BitMatrix`` elimination
-stays separate: it is the independent route that the block ranks are
-checked against.
+int64 bit position in the stacks laid end to end, so besides the 8 bytes of
+the entry itself ``rank`` holds about 24 bytes per entry: a tracemalloc
+peak of 2.44 MB for the 84192 entries of n = 13 at t = 7.  The dense
+``BitMatrix`` elimination stays separate: it is the independent route that
+the block ranks are checked against.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ _TABLE_WORDS = 1 << 15  # XOR-table words per column panel of a strip update (25
 _BLOCK_WORDS = 1 << 14  # words per row block of a strip update (128 KiB)
 _DUMP_ROWS = 512  # rows per block of the hex dump
 _MAX_ENTRIES = 1 << 30  # SparseBitMatrix.rank labels its rows and columns, together, in int32
+_LOW = np.uint64(0xFFFFFFFF)  # the column half of a SparseBitMatrix entry
 
 
 def _words_per_row(cols: int) -> int:
@@ -362,35 +364,36 @@ def _xor_tables(pivot_rows: np.ndarray) -> list[np.ndarray]:
 
 
 class SparseBitMatrix:
-    """Positions of the 1-entries of a 0/1 matrix, as packed uint64 keys.
+    """Positions of the 1-entries of a 0/1 matrix, as one uint64 array.
 
-    Entry k sits at row key ``row_keys[k]`` and column key ``col_keys[k]``.
-    A key packs a pair (a, b) of non-negative ints below 2^32 as
-    ``(a << 32) | b``, so integer order on keys equals lexicographic order
-    on the pairs.  A position listed twice is still a single 1-entry.
+    Entry k sits at row ``entries[k] >> 32`` and column
+    ``entries[k] & (2^32 - 1)``, so rows and columns are ints below 2^32 and
+    integer order on entries is lexicographic order on (row, column).  This
+    is the layout of a ``polyf2.SparsePoly`` code, whose high half is
+    (e_x1, e_x2) and low half (e_y1, e_y2).  The array is held, not copied.
+    A position listed twice is still a single 1-entry.
     """
 
-    __slots__ = ("_row_keys", "_col_keys")
+    __slots__ = ("_entries",)
 
-    def __init__(self, row_keys: np.ndarray, col_keys: np.ndarray):
-        if np.shape(row_keys) != np.shape(col_keys) or np.ndim(row_keys) != 1:
-            raise ParameterError("row and column keys must be 1-d arrays of one length")
-        self._row_keys = np.asarray(row_keys, dtype=np.uint64)
-        self._col_keys = np.asarray(col_keys, dtype=np.uint64)
+    def __init__(self, entries: np.ndarray):
+        if np.ndim(entries) != 1:
+            raise ParameterError("entries must be a 1-d array")
+        self._entries = np.asarray(entries, dtype=np.uint64)
 
     @property
     def nnz(self) -> int:
         """Number of listed positions."""
-        return int(self._row_keys.size)
+        return int(self._entries.size)
 
     def compact(self) -> BitMatrix:
-        """Dense matrix on the occupied rows/columns, keys in sorted order.
+        """Dense matrix on the occupied rows/columns, in sorted order.
 
         Dropping the untouched all-zero rows and columns does not change the
-        rank, and the sorted key order makes the result reproducible.
+        rank, and the sorted order makes the result reproducible.
         """
-        urows, ridx = np.unique(self._row_keys, return_inverse=True)
-        ucols, cidx = np.unique(self._col_keys, return_inverse=True)
+        urows, ridx = np.unique(self._entries >> np.uint64(32), return_inverse=True)
+        ucols, cidx = np.unique(self._entries & _LOW, return_inverse=True)
         R, C = int(urows.size), int(ucols.size)
         out = BitMatrix(R, C)
         w = out.words.reshape(-1)
@@ -409,15 +412,16 @@ class SparseBitMatrix:
         to multiples of 8, and each stack is eliminated in lockstep
         (``_stack_rank``).  The stacks are laid end to end as one bit space, so
         every entry is one int64 bit position there; sorting the positions
-        groups the entries by stack.  Besides the keys, the pass holds at most
-        about 24 bytes per entry, in int32 labels that are dropped once used.
+        groups the entries by stack.  Besides the entries, the pass holds at
+        most about 24 bytes per entry, in int32 labels that are dropped once
+        used.
         """
         if self.nnz == 0:
             return 0
         if self.nnz >= _MAX_ENTRIES:
             raise BudgetError(f"{self.nnz} entries exceed the {_MAX_ENTRIES}-entry cap of rank")
-        r, R = _dense_labels(self._row_keys)
-        c, C = _dense_labels(self._col_keys)
+        r, R = _dense_labels(self._entries >> np.uint64(32))
+        c, C = _dense_labels(self._entries & _LOW)
         c += R  # rows are nodes 0..R-1, columns R..R+C-1
         label = _least_node_labels(r, c, R + C)
         # number the components 0..K-1 in order of their least nodes

@@ -137,16 +137,13 @@ def cmd_code_report(args, files) -> dict | str:
 
 
 def cmd_certify(args, files) -> dict:
-    # a bad budget or n is reported with its own error, ahead of the --extended gate
-    if args.budget < 1:
-        raise ParameterError(f"budget={args.budget}: need a positive number of monomial pairs")
-    polyf2.poly_d(args.n)
+    polyf2.poly_d(args.n)  # a bad n is reported with its own error, ahead of the --extended gate
     if args.n >= 11 and args.t_max >= 7 and not args.extended:
         raise BudgetError(
             f"n={args.n} at t_max={args.t_max} is a long run; pass --extended to allow it"
         )
     try:
-        result = polyf2.certify_unit_rate(args.n, t_max=args.t_max, budget=args.budget)
+        result = polyf2.certify_unit_rate(args.n, t_max=args.t_max)
     except BudgetError as err:
         if not err.trace:
             raise
@@ -216,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="search for the first certifying exponent")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t-max", type=int, default=polyf2.DEFAULT_T_MAX)
-    p.add_argument("--budget", type=int, default=polyf2.DEFAULT_MONOMIAL_BUDGET)
     p.add_argument("--extended", action="store_true", help="allow the long n >= 11 runs")
     p.add_argument("--output", default=None)
     p.set_defaults(handler=cmd_certify)

@@ -18,7 +18,9 @@ instead of corrupting neighbours.
 
 The certification route never leaves coefficient space: rank(p) is the
 GF(2) rank of the coefficient matrix of p, whose rows are indexed by
-(e_x1, e_x2) and columns by (e_y1, e_y2).  That matrix splits into small
+(e_x1, e_x2) and columns by (e_y1, e_y2).  A code is already that matrix's
+entry row << 32 | col, so ``coeff_matrix`` wraps p's array without a copy
+and the rank holds no key arrays of its own.  The matrix splits into small
 connected blocks (the torus grading of the polynomial method keeps
 monomials of different weights apart).  ``SparseBitMatrix.rank`` finds the
 blocks and eliminates all blocks of one rounded shape in lockstep, so
@@ -28,8 +30,8 @@ doubles exponents, which only relabels rows and columns, so d^(2^t - 1) is
 expanded as the product of the t doubled copies d^(2^i), i < t, keeping
 every factor as small as d itself.  At t = m it is d^(q - 1), q = 2^m, the
 indicator of d != 0 over GF(q); ``storage.code_report`` ranks it after ``reduce_mod``.
-On a 2-core host ``certify_unit_rate(19, t_max=10)`` peaks at about 490 MB
-RSS in 17-25 s, most of it the t = 10 rank of 9859968 entries.
+On a 2-core host ``certify_unit_rate(19, t_max=10)`` peaks at about 390 MB
+RSS in 16-21 s, most of it the t = 10 rank of 9859968 entries.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ EXP_BITS = 16
 EXP_MAX = (1 << EXP_BITS) - 1
 _SHIFTS = (48, 32, 16, 0)  # x1, x2, y1, y2
 
-#: default cap on monomial pairs formed by one product
-DEFAULT_MONOMIAL_BUDGET = 10 ** 8
+#: cap on the monomial pairs formed by one product
+PAIR_BUDGET = 10 ** 8
 
 #: default cap on certification exponents
 DEFAULT_T_MAX = 8
@@ -179,10 +181,10 @@ def poly_d(n: int) -> SparsePoly:
     return SparsePoly.from_monomials(mons)
 
 
-def poly_mul(p: SparsePoly, q: SparsePoly, budget: int = DEFAULT_MONOMIAL_BUDGET) -> SparsePoly:
+def poly_mul(p: SparsePoly, q: SparsePoly) -> SparsePoly:
     """Product over GF(2), with XOR-cancellation of colliding monomials."""
-    if len(p) * len(q) > budget:
-        raise BudgetError(f"product forms {len(p)}x{len(q)} monomial pairs, over budget {budget}")
+    if len(p) * len(q) > PAIR_BUDGET:
+        raise BudgetError(f"product forms {len(p)}x{len(q)} monomial pairs, over budget {PAIR_BUDGET}")
     pe, qe = p.max_exponents(), q.max_exponents()
     if any(a + b > EXP_MAX for a, b in zip(pe, qe)):
         raise BudgetError(f"product exponents would exceed the {EXP_MAX} cap")
@@ -201,16 +203,14 @@ def frobenius(p: SparsePoly, i: int) -> SparsePoly:
     return SparsePoly(p._codes * np.uint64(factor))
 
 
-def mersenne_powers(
-    p: SparsePoly, t_max: int, budget: int = DEFAULT_MONOMIAL_BUDGET
-) -> Iterator[SparsePoly]:
+def mersenne_powers(p: SparsePoly, t_max: int) -> Iterator[SparsePoly]:
     """Yield p^(2^t - 1) for t = 1..t_max, each the previous times frobenius(p, t - 1)."""
     if t_max < 1:
         raise ParameterError("t_max must be a positive integer")
     acc = p
     yield acc
     for i in range(1, t_max):
-        acc = poly_mul(acc, frobenius(p, i), budget=budget)
+        acc = poly_mul(acc, frobenius(p, i))
         yield acc
 
 
@@ -231,10 +231,8 @@ def reduce_mod(p: SparsePoly, m: int) -> SparsePoly:
 
 
 def coeff_matrix(p: SparsePoly) -> SparseBitMatrix:
-    """One 1-entry per monomial: row key (e_x1, e_x2), column key (e_y1, e_y2)."""
-    rows = p._codes >> np.uint64(32)
-    cols = p._codes & np.uint64(0xFFFFFFFF)
-    return SparseBitMatrix(rows, cols)
+    """One 1-entry per monomial, its code: row (e_x1, e_x2), column (e_y1, e_y2); no copy."""
+    return SparseBitMatrix(p._codes)
 
 
 def poly_rank(p: SparsePoly) -> int:
@@ -307,23 +305,17 @@ class CertificationResult:
         return self.poly_rank < self.threshold
 
 
-def certify_unit_rate(
-    n: int,
-    t_max: int = DEFAULT_T_MAX,
-    budget: int = DEFAULT_MONOMIAL_BUDGET,
-) -> CertificationResult:
+def certify_unit_rate(n: int, t_max: int = DEFAULT_T_MAX) -> CertificationResult:
     """Search t = 1..t_max for rank(d^(2^t - 1)) < 4^t, d = (x1+y1)^n + x2 + y2.
 
     Stops at the first certifying t.  n = 1 is allowed here (the degenerate
     base certifies immediately at t = 1); the graph family itself starts at
-    n = 3.  A budget below 1 raises ParameterError before any product; on
-    exhaustion the raised BudgetError carries the partial trace in ``trace``.
+    n = 3.  A product over ``PAIR_BUDGET`` pairs or past the exponent cap
+    raises BudgetError, which carries the ranks already computed in ``trace``.
     """
-    if budget < 1:
-        raise ParameterError(f"budget={budget}: need a positive number of monomial pairs")
     trace: list[tuple[int, int, int]] = []
     try:
-        for t, power in enumerate(mersenne_powers(poly_d(n), t_max, budget), start=1):
+        for t, power in enumerate(mersenne_powers(poly_d(n), t_max), start=1):
             trace.append((t, poly_rank(power), 4 ** t))
             if trace[-1][1] < trace[-1][2]:
                 break

@@ -17,12 +17,8 @@ H4_ROWS = [0b1001, 0b0110, 0b0110, 0b1001]
 
 
 def sparse(entries) -> SparseBitMatrix:
-    """SparseBitMatrix from ((a, b), (c, d)) pairs, keys packed as (a << 32) | b."""
-    def keys(pairs):
-        return np.array([(a << 32) | b for a, b in pairs], dtype=np.uint64)
-
-    entries = list(entries)
-    return SparseBitMatrix(keys(r for r, _ in entries), keys(c for _, c in entries))
+    """SparseBitMatrix from (row, col) pairs, each entry packed as row << 32 | col."""
+    return SparseBitMatrix(np.array([r << 32 | c for r, c in entries], dtype=np.uint64))
 
 
 def eye(n: int) -> BitMatrix:
@@ -386,27 +382,27 @@ def test_sparse_compact_examples():
     empty = sparse([]).compact()
     assert (empty.rows, empty.cols) == (0, 0) and empty.rank() == 0
     assert sparse([]).rank() == 0
-    one = sparse([((5, 0), (0, 0))])
+    one = sparse([(5, 0)])
     m = one.compact()
     assert (m.rows, m.cols) == (1, 1)
     assert m.get(0, 0) == 1 and m.rank() == 1
 
 
 def test_sparse_compact_coefficient_matrix_of_small_base_poly():
-    # the six monomials of (x1+y1)^3 + x2 + y2, as (row key, column key) pairs
+    # the six monomials of (x1+y1)^3 + x2 + y2: row e_x1 << 16 | e_x2, column e_y1 << 16 | e_y2
     entries = [
-        ((3, 0), (0, 0)),
-        ((2, 0), (1, 0)),
-        ((1, 0), (2, 0)),
-        ((0, 0), (3, 0)),
-        ((0, 1), (0, 0)),
-        ((0, 0), (0, 1)),
+        (3 << 16, 0),
+        (2 << 16, 1 << 16),
+        (1 << 16, 2 << 16),
+        (0, 3 << 16),
+        (1, 0),
+        (0, 1),
     ]
     s = sparse(entries)
     assert s.nnz == 6
     m = s.compact()
     assert (m.rows, m.cols) == (5, 5)
-    # rows for x2 and y1^3 coincide: both are a lone 1 in column (0, 0)
+    # rows for x1^3 and x2 coincide: both are a lone 1 in column 0
     assert m.rank() == 4
     assert m.rank() == span_rank(m.row_int(i) for i in range(5))
 
@@ -415,8 +411,7 @@ def test_sparse_compact_deduplicates_and_matches_dense():
     rng = np.random.default_rng(909)
     entries = set()
     for _ in range(60):
-        entries.add(((int(rng.integers(0, 9)), int(rng.integers(0, 3))),
-                     (int(rng.integers(0, 9)), int(rng.integers(0, 3)))))
+        entries.add((int(rng.integers(0, 27)), int(rng.integers(0, 27))))
     m = sparse(list(entries) + list(entries)).compact()  # duplicates collapse
     rkeys = sorted({rk for rk, _ in entries})
     ckeys = sorted({ck for _, ck in entries})
@@ -438,9 +433,16 @@ def test_rank_at_thirty_thousand_dimensions_within_memory():
     assert big.rank() == base.rank()
 
 
-def key_array(values) -> np.ndarray:
-    # spread small draws over the whole uint64 range, so keys 0 and 2^64 - 1 both occur
-    return np.array(values, dtype=np.uint64) * np.uint64(0x1111111111111111)
+def entry_array(rows, cols) -> np.ndarray:
+    """Entries row << 32 | col, with rows and columns spread over the whole uint32 range.
+
+    The odd multiplier permutes the uint32 range and takes draws 0 and 15 to
+    0 and 2^32 - 1, so both extremes occur among rows and among columns.
+    """
+    def spread(values):
+        return np.array(values, dtype=np.uint64) * np.uint64(0x11111111) & np.uint64(0xFFFFFFFF)
+
+    return spread(rows) << np.uint64(32) | spread(cols)
 
 
 @settings(max_examples=200, deadline=None)
@@ -448,30 +450,30 @@ def key_array(values) -> np.ndarray:
 def test_block_rank_equals_flat_rank_on_random_keys(entries, data):
     if entries:  # list some positions a second time
         entries = entries + data.draw(st.lists(st.sampled_from(entries), max_size=20))
-    rows = key_array([r for r, _ in entries])
-    cols = key_array([c for _, c in entries])
-    assert SparseBitMatrix(rows, cols).rank() == SparseBitMatrix(rows, cols).compact().rank()
+    s = SparseBitMatrix(entry_array([r for r, _ in entries], [c for _, c in entries]))
+    assert s.rank() == s.compact().rank()
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=60), st.data())
 def test_block_rank_leaves_the_key_arrays_unchanged(entries, data):
-    # the matrix holds the caller's uint64 arrays themselves, so rank must sort copies
+    # the matrix holds the caller's uint64 array itself, so rank must sort copies
     if entries:
         entries = entries + data.draw(st.lists(st.sampled_from(entries), max_size=20))
-    rows = key_array([r for r, _ in entries])
-    cols = key_array([c for _, c in entries])
-    before = rows.copy(), cols.copy()
-    SparseBitMatrix(rows, cols).rank()
-    assert np.array_equal(rows, before[0]) and np.array_equal(cols, before[1])
+    array = entry_array([r for r, _ in entries], [c for _, c in entries])
+    before = array.copy()
+    s = SparseBitMatrix(array)
+    assert s._entries is array
+    s.rank()
+    assert np.array_equal(array, before)
 
 
 def test_block_rank_refuses_more_entries_than_int32_labels_can_number(monkeypatch):
     # rows and columns share one int32 label space, so the cap keeps R + C below 2^31
     monkeypatch.setattr(bitmatrix, "_MAX_ENTRIES", 3)
-    assert sparse([((0, 0), (0, 0)), ((1, 0), (1, 0))]).rank() == 2
+    assert sparse([(0, 0), (1, 1)]).rank() == 2
     with pytest.raises(BudgetError):
-        sparse([((i, 0), (i, 0)) for i in range(3)]).rank()
+        sparse([(i, i) for i in range(3)]).rank()
 
 
 def dense_blocks(max_blocks=8, max_side=6):
@@ -484,7 +486,7 @@ def dense_blocks(max_blocks=8, max_side=6):
 
 
 def shuffled_block_diagonal(blocks, seed):
-    """Keys of the block-diagonal matrix of the given blocks, relabelled and shuffled."""
+    """The block-diagonal matrix of the given blocks, relabelled and shuffled."""
     rows, cols = [], []
     r0 = c0 = 0
     for block in blocks:
@@ -499,7 +501,7 @@ def shuffled_block_diagonal(blocks, seed):
     order = rng.permutation(len(rows))
     rows = rng.permutation(max(r0, 1))[np.array(rows, dtype=np.int64)][order]
     cols = rng.permutation(max(c0, 1))[np.array(cols, dtype=np.int64)][order]
-    return SparseBitMatrix(key_array(rows), key_array(cols))
+    return SparseBitMatrix(entry_array(rows, cols))
 
 
 @settings(max_examples=200, deadline=None)
@@ -565,7 +567,7 @@ def test_lockstep_rank_of_low_rank_blocks(blocks, seed):
 @given(st.lists(st.tuples(st.integers(1, 2 ** 20 - 1), int_blocks((0, 10), (21, 21), 21)),
                 min_size=1, max_size=6))
 def test_lockstep_rank_when_the_pivot_swap_displaces_a_row(blocks):
-    # rows 2x and 2x + 1 head each block and keys keep the drawn order, so column 0
+    # rows 2x and 2x + 1 head each block and entries keep the drawn order, so column 0
     # pivots on row 1 and the swap moves row 0 into the slot the pivot left
     rows, cols = [], []
     want = 0
@@ -577,14 +579,14 @@ def test_lockstep_rank_when_the_pivot_swap_displaces_a_row(blocks):
                 if v >> j & 1:
                     rows.append(b << 8 | i)
                     cols.append(b << 8 | j)
-    s = SparseBitMatrix(np.array(rows, dtype=np.uint64), np.array(cols, dtype=np.uint64))
+    s = sparse(zip(rows, cols))
     assert s.rank() == s.compact().rank() == want
 
 
 def test_block_rank_neither_compacts_nor_ranks_dense_blocks(monkeypatch):
     # a 3 x 3 block of rank 2 (its rows sum to zero) and a 2 x 2 identity
     cycle = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
-    s = sparse([((i, 0), (j, 0)) for i, j in cycle] + [((9, 0), (9, 0)), ((9, 1), (9, 1))])
+    s = sparse(cycle + [(9, 9), (10, 10)])
 
     def refuse(*args, **kwargs):
         raise AssertionError("SparseBitMatrix.rank went through a per-block BitMatrix")

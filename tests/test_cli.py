@@ -344,26 +344,32 @@ def test_certify_parameter_error(capsys):
 @pytest.mark.parametrize("argv", [
     pytest.param(("--n", "7", "--t-max", "3", "--budget", "0"), id="0"),
     pytest.param(("--n", "7", "--t-max", "3", "--budget", "-1"), id="-1"),
-    # a run the --extended gate would refuse: the bad budget is reported first
+    pytest.param(("--n", "7", "--t-max", "3", "--budget", "100"), id="100"),
+    # a run the --extended gate would refuse: the unknown option is reported first
     pytest.param(("--n", "11", "--t-max", "7", "--budget", "-1"), id="n11-unextended"),
 ])
-def test_certify_rejects_a_budget_below_1_before_any_product(capsys, monkeypatch, argv):
+def test_certify_has_no_budget_option(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise ProductFormed
 
     monkeypatch.setattr(polyf2, "poly_mul", refuse)
-    code, out, err = run_cli(capsys, "certify", *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("parameter error:")
+    with pytest.raises(ProductFormed):  # the stub is on the path of the run without --budget
+        main(["certify", "--n", "7", "--t-max", "3"])
+    with pytest.raises(SystemExit) as exc:  # an argparse usage error
+        main(["certify", *argv])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert "--budget" in captured.err
 
 
 def test_certify_budget_stop_reports_the_ranks_already_computed(capsys):
-    # n = 7: t = 2 forms 10x10 pairs, t = 3 would form 44x10, over the budget of 100
-    code, out, err = run_cli(capsys, "certify", "--n", "7", "--t-max", "6", "--budget", "100")
+    # n = 4097 = 2^12 + 1: the t = 5 factor d^16 would have exponent 4097 * 16 > 65535
+    code, out, err = run_cli(capsys, "certify", "--n", "4097", "--t-max", "6")
     assert (code, out) == (3, "")
     assert err == (
-        "budget error: product forms 44x10 monomial pairs, over budget 100; ranks so far: "
-        "t=1 rank 8 (threshold 4), t=2 rank 24 (threshold 16)\n"
+        "budget error: exponents * 2^4 would exceed the 65535 cap; ranks so far: "
+        "t=1 rank 4 (threshold 4), t=2 rank 16 (threshold 16), "
+        "t=3 rank 64 (threshold 64), t=4 rank 256 (threshold 256)\n"
     )
 
 

@@ -235,11 +235,19 @@ def test_pow_mersenne_equals_repeated_multiplication():
 def test_mersenne_powers_call_the_module_bindings(monkeypatch):
     calls = []
     mul, frob = polyf2.poly_mul, polyf2.frobenius
-    monkeypatch.setattr(polyf2, "poly_mul", lambda *a, **k: calls.append("mul") or mul(*a, **k))
+    monkeypatch.setattr(polyf2, "poly_mul", lambda *a: calls.append("mul") or mul(*a))
     monkeypatch.setattr(polyf2, "frobenius", lambda *a: calls.append("frob") or frob(*a))
     monkeypatch.setattr(polyf2, "poly_rank", lambda p: calls.append("rank") or poly_rank(p))
     certify_unit_rate(3, t_max=2)
     assert calls == ["rank", "frob", "mul", "rank"]
+
+
+def test_coeff_matrix_shares_the_polynomial_codes():
+    # the codes are the entries, row (e_x1, e_x2) in the high half: no copy is made
+    p = mersenne_power(poly_d(7), 3)
+    s = coeff_matrix(p)
+    assert np.shares_memory(s._entries, p._codes)
+    assert s.nnz == len(p)
 
 
 def test_coeff_matrix_entries():
@@ -273,9 +281,18 @@ def test_poly_rank_invariant_under_frobenius():
 
 
 def test_mul_budget_errors():
-    p = poly_d(7)
-    with pytest.raises(BudgetError):
-        poly_mul(p, p, budget=10)
+    # 10001^2 = 100020001 pairs, just over PAIR_BUDGET: refused before the 800 MB of pair sums
+    p = SparsePoly.from_monomials((i, 0, 0, 0) for i in range(10001))
+    q = SparsePoly.from_monomials((0, 0, i, 0) for i in range(10001))
+    assert len(p) * len(q) > polyf2.PAIR_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="over budget"):
+            poly_mul(p, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
     with pytest.raises(BudgetError):
         SparsePoly.from_monomials([(1 << 17, 0, 0, 0)])
 
@@ -451,10 +468,10 @@ def test_certification_result_reads_the_last_trace_row():
 
 
 def test_certify_budget_error_carries_partial_trace():
+    # n = 4097 = 2^12 + 1: the t = 5 factor d^16 has exponent 4097 * 16 > 65535
     with pytest.raises(BudgetError) as err:
-        certify_unit_rate(7, t_max=6, budget=100)
-    assert hasattr(err.value, "trace")
-    assert len(err.value.trace) >= 1
+        certify_unit_rate(4097, t_max=6)
+    assert err.value.trace == ((1, 4, 4), (2, 16, 16), (3, 64, 64), (4, 256, 256))
 
 
 def test_certify_trace_regression_n7():
@@ -517,8 +534,8 @@ def test_product_of_the_n13_t7_power_reduces_its_pairs_in_place():
 
 
 def test_block_rank_of_the_n13_t7_power_holds_int32_labels():
-    # 84192 entries: the keys take 16 bytes each; np.unique's int64 inverses
-    # and the lexsort of the entries took the peak to 6.75 MB, about 80 bytes per entry
+    # 84192 entries, ranked in the polynomial's own codes with about 24 bytes per
+    # entry beside them; the cap sits 10% above the measured 2.44 MB
     power = mersenne_power(poly_d(13), 7)
     tracemalloc.start()
     try:
@@ -527,7 +544,7 @@ def test_block_rank_of_the_n13_t7_power_holds_int32_labels():
     finally:
         tracemalloc.stop()
     assert (len(power), rank) == (84192, 14442)
-    assert peak <= 3_700_000
+    assert peak <= 2_700_000
 
 
 def test_submultiplicativity_chain():
