@@ -43,11 +43,11 @@ from .polyf2 import (
     certify_unit_rate,
     coeff_matrix,
     eval_matrix,
+    fermat_power,
     frobenius,
-    mersenne_powers,
-    poly_d,
     poly_mul,
     poly_rank,
+    substitute,
 )
 from .storage import (
     CodeReport,
@@ -86,22 +86,22 @@ __all__ = [
     "d_matrix",
     "eval_matrix",
     "export_edges",
+    "fermat_power",
     "frobenius",
     "irreducible_polynomials",
     "is_connected",
     "is_triangle_free_criterion",
     "lessdot",
-    "mersenne_powers",
     "multinomial_parity",
     "nm_bound",
     "nm_closed_form",
     "nm_long_recurrence",
     "nm_recurrence",
-    "poly_d",
     "poly_mul",
     "poly_rank",
     "sample_codewords",
     "smallest_irreducible",
+    "substitute",
     "triangle_oracle",
     "verify_repair",
     "w_matrix",

@@ -137,7 +137,7 @@ def cmd_code_report(args, files) -> dict | str:
 
 
 def cmd_certify(args, files) -> dict:
-    polyf2.poly_d(args.n)  # a bad n is reported with its own error, ahead of the --extended gate
+    polyf2.fermat_power(args.n, 1)  # a bad n is reported with its own error, ahead of the --extended gate
     if args.n >= 11 and args.t_max >= 7 and not args.extended:
         raise BudgetError(
             f"n={args.n} at t_max={args.t_max} is a long run; pass --extended to allow it"

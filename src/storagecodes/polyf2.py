@@ -7,37 +7,26 @@ uint64 array with 16 bits per exponent, packed as
     code = e_x1 << 48 | e_x2 << 32 | e_y1 << 16 | e_y2
 
 so that products are plain integer additions of codes and duplicate
-cancellation is one in-place sort and one scan of its runs.  The scan moves
-the codes that occur an odd number of times to the front of the sorted
-array, so a product holds its 8-byte pair sums and a copy of the survivors:
-2.3 MB, about 11.5 bytes per pair, for the 197120 pairs of the n = 13,
-t = 7 certificate.  The packing caps every exponent
-at 2^16 - 1, far above any exponent this toolkit produces (at most
-n * (2^t - 1)); operations that would overflow a field raise BudgetError
+cancellation is one in-place sort and one scan of its runs (``_xor_reduce``).
+Operations that would push an exponent past 2^16 - 1 raise BudgetError
 instead of corrupting neighbours.
 
-The certification route never leaves coefficient space: rank(p) is the
-GF(2) rank of the coefficient matrix of p, whose rows are indexed by
-(e_x1, e_x2) and columns by (e_y1, e_y2).  A code is already that matrix's
-entry row << 32 | col, so ``coeff_matrix`` wraps p's array without a copy
-and the rank holds no key arrays of its own.  The matrix splits into small
-connected blocks (the torus grading of the polynomial method keeps
-monomials of different weights apart).  ``SparseBitMatrix.rank`` finds the
-blocks and eliminates all blocks of one rounded shape in lockstep, so
-``poly_rank`` never builds a per-block BitMatrix; the flat
-``coeff_matrix(p).compact().rank()`` is the reference it is tested against.  Squaring in characteristic 2
-doubles exponents, which only relabels rows and columns, so d^(2^t - 1) is
-expanded as the product of the t doubled copies d^(2^i), i < t, keeping
-every factor as small as d itself.  At t = m it is d^(q - 1), q = 2^m, the
-indicator of d != 0 over GF(q); ``storage.code_report`` ranks it after ``reduce_mod``.
-On a 2-core host ``certify_unit_rate(19, t_max=10)`` peaks at about 390 MB
-RSS in 16-21 s, most of it the t = 10 rank of 9859968 entries.
+The polynomials the toolkit ranks are Fermat powers of d = (x1+y1)^n + x2 + y2:
+the certificate d^(2^t - 1) and the indicator red(d^(q - 1)) of d != 0 on
+GF(q)^4.  ``fermat_power`` writes their codes down directly (the expansion has
+no cancellation), so neither route forms a product; ``poly_mul`` and
+``frobenius`` stay as the general operations, and the product of Frobenius
+copies is the reference route in the tests.  rank(p) is the GF(2) rank of
+the coefficient matrix, rows (e_x1, e_x2) and columns (e_y1, e_y2); a code
+is already that matrix's entry row << 32 | col, so ``coeff_matrix`` wraps p's
+array without a copy.  ``SparseBitMatrix.rank`` splits it into connected
+blocks and eliminates the blocks of one rounded shape in lockstep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -49,7 +38,7 @@ EXP_BITS = 16
 EXP_MAX = (1 << EXP_BITS) - 1
 _SHIFTS = (48, 32, 16, 0)  # x1, x2, y1, y2
 
-#: cap on the monomial pairs formed by one product
+#: cap on the codes one product (its monomial pairs) or one fermat_power forms
 PAIR_BUDGET = 10 ** 8
 
 #: default cap on certification exponents
@@ -161,26 +150,6 @@ class SparsePoly:
         )
 
 
-def poly_d(n: int) -> SparsePoly:
-    """The base polynomial (x1 + y1)^n + x2 + y2 for odd n >= 1.
-
-    The binomial (x1 + y1)^n keeps exactly the terms x1^i y1^(n-i) with i a
-    submask of n (odd binomial coefficients have carry-free splits).
-    """
-    if n < 1 or n % 2 == 0:
-        raise ParameterError(f"n={n}: need an odd integer >= 1")
-    if n > EXP_MAX:  # before listing the 2^popcount(n) terms
-        raise BudgetError(f"exponent {n} outside 0..{EXP_MAX}")
-    mons: list[tuple[int, int, int, int]] = [(0, 1, 0, 0), (0, 0, 0, 1)]
-    i = n
-    while True:
-        mons.append((i, 0, n - i, 0))
-        if i == 0:
-            break
-        i = (i - 1) & n
-    return SparsePoly.from_monomials(mons)
-
-
 def poly_mul(p: SparsePoly, q: SparsePoly) -> SparsePoly:
     """Product over GF(2), with XOR-cancellation of colliding monomials."""
     if len(p) * len(q) > PAIR_BUDGET:
@@ -203,31 +172,67 @@ def frobenius(p: SparsePoly, i: int) -> SparsePoly:
     return SparsePoly(p._codes * np.uint64(factor))
 
 
-def mersenne_powers(p: SparsePoly, t_max: int) -> Iterator[SparsePoly]:
-    """Yield p^(2^t - 1) for t = 1..t_max, each the previous times frobenius(p, t - 1)."""
-    if t_max < 1:
-        raise ParameterError("t_max must be a positive integer")
-    acc = p
-    yield acc
-    for i in range(1, t_max):
-        acc = poly_mul(acc, frobenius(p, i))
-        yield acc
+def _submasks(mask: int) -> np.ndarray:
+    """The submasks of mask in increasing order, as uint64: by Lucas, the j with C(mask, j) odd."""
+    out = np.zeros(1, dtype=np.uint64)
+    for i in range(mask.bit_length()):
+        if (mask >> i) & 1:
+            out = np.concatenate([out, out + (1 << i)])
+    return out
 
 
-def reduce_mod(p: SparsePoly, m: int) -> SparsePoly:
-    """p mod x^q - x in every variable, q = 2^m: the same function on GF(q)^4.
+def fermat_power(n: int, t: int, m: int | None = None) -> SparsePoly:
+    """d^(2^t - 1), d = (x1+y1)^n + x2 + y2, reduced mod x^q - x (q = 2^m, t <= m) if m is given.
 
-    Exponents e >= 1 become ((e - 1) mod (q - 1)) + 1 and collisions cancel; reduced
-    monomials are a basis of the functions, so coefficient rank = evaluation rank.
+    2^t - 1 has all t bits set, so the power is the product of the copies
+    (x1+y1)^(n 2^i) + x2^(2^i) + y2^(2^i), i < t.  Each term gives the bits r
+    to the binomial, b to x2 and the rest to y2: x2^b y2^(rest) (x1+y1)^N(r),
+    and by Lucas (x1+y1)^N is the sum of x1^j y1^(N - j) over the submasks j
+    of N.  The (x2, y2) exponents tell the terms apart, so nothing cancels.
+    N(r) = n r, or with m given ((n r - 1) mod (q - 1)) + 1 (0 at r = 0), its
+    exponent on GF(q).  The size is checked before one array is filled.
     """
-    if m < 1:
-        raise ParameterError(f"m={m}: the field degree must be positive")
-    period = np.uint64((1 << m) - 1)
-    codes = np.zeros_like(p._codes)
-    for sh in _SHIFTS:
-        e = (p._codes >> np.uint64(sh)) & np.uint64(EXP_MAX)
-        codes |= np.where(e > 0, (e - 1) % period + 1, e) << np.uint64(sh)
-    return SparsePoly(_xor_reduce(codes))
+    if n < 1 or n % 2 == 0:
+        raise ParameterError(f"n={n}: need an odd integer >= 1")
+    if t < 1 or m is not None and t > m:
+        raise ParameterError(f"t={t}: need t >= 1, and t <= m when reducing")
+    full = (1 << t) - 1
+    top = n * full if m is None else (1 << m) - 1
+    if top > EXP_MAX:  # before anything is listed
+        raise BudgetError(f"exponent {top} outside 0..{EXP_MAX}")
+    if m is None:
+        exps = [n * r for r in range(full + 1)]
+    else:  # top = q - 1; Python ints keep any n exact
+        exps = [0] + [(n % top * r - 1) % top + 1 for r in range(1, full + 1)]
+    size = sum(1 << (e.bit_count() + t - r.bit_count()) for r, e in enumerate(exps))
+    if size > PAIR_BUDGET:
+        raise BudgetError(f"d^{full} has {size} monomials, over budget {PAIR_BUDGET}")
+    codes, pos = np.empty(size, dtype=np.uint64), 0
+    for r, e in enumerate(exps):
+        j, b = _submasks(e), _submasks(full ^ r)
+        block = codes[pos : pos + j.size * b.size].reshape(j.size, b.size)
+        binomial = j << 48 | (e - j) << 16  # x1^j y1^(e - j)
+        np.bitwise_or(binomial[:, None], (b << 32 | (full ^ r) - b)[None, :], out=block)
+        pos += block.size
+    codes.sort()
+    return SparsePoly(codes)
+
+
+def substitute(p: SparsePoly, n: int, m: int) -> SparsePoly:
+    """p(x1, x2 + x1^n, y1, y2 + y1^n) mod x^q - x, for p reduced mod x^q - x, q = 2^m.
+
+    Bit i of x2 at a time, x2^(2^i) -> x2^(2^i) + x1^(n 2^i): a monomial with the bit set
+    gains a copy without it and with e_x1 = ((e_x1 + n 2^i - 1) mod (q - 1)) + 1; then y2, y1.
+    """
+    period, codes = (1 << m) - 1, p._codes
+    for var, base in ((32, 48), (0, 16)):
+        for i in range(m):
+            hit = codes[(codes >> (var + i) & 1) == 1]
+            e = (hit >> base & EXP_MAX) + ((n << i) % period + period - 1)  # Python ints for any n
+            hit &= ~np.uint64(EXP_MAX << base | 1 << (var + i))
+            hit |= (e % period + 1) << base
+            codes = _xor_reduce(np.concatenate([codes, hit]))
+    return SparsePoly(codes)
 
 
 def coeff_matrix(p: SparsePoly) -> SparseBitMatrix:
@@ -310,13 +315,15 @@ def certify_unit_rate(n: int, t_max: int = DEFAULT_T_MAX) -> CertificationResult
 
     Stops at the first certifying t.  n = 1 is allowed here (the degenerate
     base certifies immediately at t = 1); the graph family itself starts at
-    n = 3.  A product over ``PAIR_BUDGET`` pairs or past the exponent cap
+    n = 3.  A power over ``PAIR_BUDGET`` codes or past the exponent cap
     raises BudgetError, which carries the ranks already computed in ``trace``.
     """
+    if t_max < 1:
+        raise ParameterError("t_max must be a positive integer")
     trace: list[tuple[int, int, int]] = []
     try:
-        for t, power in enumerate(mersenne_powers(poly_d(n), t_max), start=1):
-            trace.append((t, poly_rank(power), 4 ** t))
+        for t in range(1, t_max + 1):
+            trace.append((t, poly_rank(fermat_power(n, t)), 4 ** t))
             if trace[-1][1] < trace[-1][2]:
                 break
     except BudgetError as err:

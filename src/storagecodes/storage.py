@@ -1,7 +1,7 @@
 """Parity-check matrices of the graph codes and their rank reports.
 
 For a family member (n, m) on the graph with vertex set GF(q)^2, q = 2^m,
-and d = (x1+y1)^n + x2 + y2 (polyf2.poly_d):
+and d = (x1+y1)^n + x2 + y2:
 
     H   coset matrix: H[x][y] = 1 iff x XOR y is a connection vector, i.e.
         iff d(x, y) = 0; adjacency + identity, the parity-check matrix of
@@ -14,9 +14,10 @@ and d = (x1+y1)^n + x2 + y2 (polyf2.poly_d):
 H and D come from one zero-set builder: every row holds q zeros of d, or of
 d + x1^n + y1^n for D, one per y1, and D is that matrix complemented.  Both
 raise BudgetError for m >= 8 (over DEFAULT_GRAPH_BUDGET_BITS) before
-allocating.  ``code_report`` ranks H densely and W, D as reduced Fermat
-powers (polyf2.reduce_mod); the polynomial rank of 1 + red(d^(q-1)) must
-equal the dense rank of H.
+allocating.  ``code_report`` ranks H densely and W, D as polynomials: W is
+red(d^(q-1)) (polyf2.fermat_power), and rank(1 + W) must equal the dense
+rank of H; D is W substituted (polyf2.substitute), so rank_D = rank_W by
+construction, and substitution_ok checks that the block rank sees it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .carryfree import count_nm, nm_growth_bound_holds
 from .errors import BudgetError, ParameterError, PropertyViolation
 from .field import GF2m
 from .graphs import DEFAULT_GRAPH_BUDGET_BITS, CayleyGraph, FamilyParams, exponent_r_plus
-from .polyf2 import SparsePoly, mersenne_powers, poly_d, poly_rank, reduce_mod
+from .polyf2 import SparsePoly, fermat_power, poly_rank, substitute
 
 
 def _zero_set(params: FamilyParams, field: GF2m, relabel: bool) -> BitMatrix:
@@ -126,27 +127,18 @@ class CodeReport:
         }
 
 
-def _indicator(delta: SparsePoly, m: int) -> SparsePoly:
-    """red(delta^(q-1)) = [delta != 0]; reducing delta first keeps the products small."""
-    *_, power = mersenne_powers(reduce_mod(delta, m), m)
-    return reduce_mod(power, m)
-
-
 def code_report(params: FamilyParams, field: GF2m | None = None) -> CodeReport:
     """Ranks of H (dense, first, cross-checked), W and D (polynomial) plus the bounds."""
     if field is None:
         field = GF2m(params.m)
     h = coset_matrix(params, field)
     rank_h = h.rank()
-    n, m, period = params.n, params.m, (1 << params.m) - 1
-    e = (n - 1) % period + 1  # a^n = a^e on GF(q), and e < 2q keeps poly_d(e) small
-    e += period if e % 2 == 0 else 0  # poly_d needs an odd e; q - 1 is odd
-    w = _indicator(poly_d(e), m)
+    n, m = params.n, params.m
+    w = fermat_power(n, m, m)
     rank_w = poly_rank(w)
     if (poly_rank_h := poly_rank(w + SparsePoly.one())) != rank_h:
         raise PropertyViolation(f"n={n} m={m}: dense rank(H)={rank_h}, polynomial {poly_rank_h}")
-    delta_d = poly_d(e) + SparsePoly.from_monomials([(e, 0, 0, 0), (0, 0, e, 0)])  # + x1^e + y1^e
-    rank_d = poly_rank(_indicator(delta_d, m))
+    rank_d = poly_rank(substitute(w, n, m))
     size = h.rows
     dimension = size - rank_h
     r = exponent_r_plus(n)

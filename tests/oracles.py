@@ -9,8 +9,11 @@ import math
 
 import numpy as np
 
+from storagecodes import polyf2
 from storagecodes.bitmatrix import BitMatrix
+from storagecodes.errors import ParameterError
 from storagecodes.graphs import connection_set
+from storagecodes.polyf2 import SparsePoly
 
 
 def span_rank(row_ints) -> int:
@@ -140,3 +143,63 @@ def xor_reduce_by_counts(codes: np.ndarray) -> np.ndarray:
     """The codes that occur an odd number of times, sorted, from np.unique's counts."""
     vals, counts = np.unique(codes, return_counts=True)
     return vals[(counts & 1) == 1]
+
+
+def d_by_binomials(n: int, extra=()) -> SparsePoly:
+    """(x1 + y1)^n + x2 + y2 plus the monomials in extra, from binomial parities by factorials."""
+    mons = [(i, 0, n - i, 0) for i in range(n + 1) if math.comb(n, i) % 2]
+    return SparsePoly(xor_reduce_by_counts(np.array(
+        [polyf2._pack(mon) for mon in [*mons, (0, 1, 0, 0), (0, 0, 0, 1), *extra]], dtype=np.uint64
+    )))
+
+
+def mersenne_powers(p: SparsePoly, t_max: int):
+    """Yield p^(2^t - 1) for t = 1..t_max, each the previous times frobenius(p, t - 1).
+
+    The product route: it calls polyf2.poly_mul and polyf2.frobenius through
+    the module, so it forms every product the closed form avoids.
+    """
+    if t_max < 1:
+        raise ParameterError("t_max must be a positive integer")
+    acc = p
+    yield acc
+    for i in range(1, t_max):
+        acc = polyf2.poly_mul(acc, polyf2.frobenius(p, i))
+        yield acc
+
+
+def mersenne_power(p: SparsePoly, t: int) -> SparsePoly:
+    """p^(2^t - 1): the last power mersenne_powers yields."""
+    return list(mersenne_powers(p, t))[-1]
+
+
+def reduce_mod(p: SparsePoly, m: int) -> SparsePoly:
+    """p mod x^q - x in every variable, q = 2^m: the same function on GF(q)^4.
+
+    Exponents e >= 1 become ((e - 1) mod (q - 1)) + 1 and collisions cancel
+    (by np.unique's counts); reduced monomials are a basis of the functions,
+    so coefficient rank = evaluation rank.
+    """
+    if m < 1:
+        raise ParameterError(f"m={m}: the field degree must be positive")
+    period = (1 << m) - 1
+    mons = [tuple((e - 1) % period + 1 if e else 0 for e in mon) for mon in p.monomials()]
+    return SparsePoly(xor_reduce_by_counts(np.array([polyf2._pack(mon) for mon in mons], dtype=np.uint64)))
+
+
+def fermat_indicators(n: int, m: int) -> tuple[SparsePoly, SparsePoly]:
+    """red(d^(q-1)) and red(d_D^(q-1)), d_D = d + x1^n + y1^n, by the product route.
+
+    Every product is reduced (red(ab) = red(red(a) red(b))), and n enters as
+    its residue mod q - 1, or q - 1 itself, which agrees with n on GF(q).
+    """
+    period = (1 << m) - 1
+    e = n % period or period
+    out = []
+    for extra in ((), ((e, 0, 0, 0), (0, 0, e, 0))):
+        d = reduce_mod(d_by_binomials(e, extra), m)
+        acc = d
+        for i in range(1, m):
+            acc = reduce_mod(polyf2.poly_mul(acc, reduce_mod(polyf2.frobenius(d, i), m)), m)
+        out.append(acc)
+    return out[0], out[1]

@@ -137,7 +137,7 @@ def test_graph_over_budget_exits_3_before_listing_the_connection_set(capsys, mon
 
 
 class ProductFormed(Exception):
-    """Raised in place of a polynomial product."""
+    """Raised in place of a polynomial product or Fermat power."""
 
 
 @pytest.mark.parametrize("m", ["8", "9"])
@@ -146,6 +146,7 @@ def test_code_report_rejects_before_any_product(capsys, monkeypatch, m):
         raise ProductFormed
 
     monkeypatch.setattr(polyf2, "poly_mul", refuse)
+    monkeypatch.setattr(storage, "fermat_power", refuse)
     with pytest.raises(ProductFormed):  # the stub is on the path of a member inside the budget
         storage.code_report(FamilyParams(3, 2))
     code, out, err = run_cli(capsys, "code-report", "--n", "3", "--m", m)
@@ -352,7 +353,7 @@ def test_certify_has_no_budget_option(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise ProductFormed
 
-    monkeypatch.setattr(polyf2, "poly_mul", refuse)
+    monkeypatch.setattr(polyf2, "fermat_power", refuse)
     with pytest.raises(ProductFormed):  # the stub is on the path of the run without --budget
         main(["certify", "--n", "7", "--t-max", "3"])
     with pytest.raises(SystemExit) as exc:  # an argparse usage error
@@ -363,11 +364,11 @@ def test_certify_has_no_budget_option(capsys, monkeypatch, argv):
 
 
 def test_certify_budget_stop_reports_the_ranks_already_computed(capsys):
-    # n = 4097 = 2^12 + 1: the t = 5 factor d^16 would have exponent 4097 * 16 > 65535
+    # n = 4097 = 2^12 + 1: d^(2^5 - 1) would have exponent 4097 * 31 > 65535
     code, out, err = run_cli(capsys, "certify", "--n", "4097", "--t-max", "6")
     assert (code, out) == (3, "")
     assert err == (
-        "budget error: exponents * 2^4 would exceed the 65535 cap; ranks so far: "
+        "budget error: exponent 127007 outside 0..65535; ranks so far: "
         "t=1 rank 4 (threshold 4), t=2 rank 16 (threshold 16), "
         "t=3 rank 64 (threshold 64), t=4 rank 256 (threshold 256)\n"
     )
@@ -377,6 +378,19 @@ def test_certify_rejects_an_exponent_past_the_packing_cap(capsys):
     code, out, err = run_cli(capsys, "certify", "--n", str(2 ** 18 - 1), "--t-max", "1")
     assert (code, out) == (3, "")
     assert err.startswith("budget error:")
+
+
+def test_certify_rejects_an_exponent_past_int64(capsys):
+    code, out, err = run_cli(capsys, "certify", "--n", str(2 ** 70 + 1), "--t-max", "1")
+    assert (code, out) == (3, "")
+    assert err == f"budget error: exponent {2 ** 70 + 1} outside 0..65535\n"
+
+
+@pytest.mark.parametrize("t_max", ["0", "-1"])
+def test_certify_rejects_a_t_max_below_1(capsys, t_max):
+    code, out, err = run_cli(capsys, "certify", "--n", "7", "--t-max", t_max)
+    assert (code, out) == (2, "")
+    assert err == "parameter error: t_max must be a positive integer\n"
 
 
 @pytest.mark.slow

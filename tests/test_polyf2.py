@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from storagecodes import polyf2
 from storagecodes.errors import BudgetError, ParameterError
@@ -16,25 +16,28 @@ from storagecodes.polyf2 import (
     certify_unit_rate,
     coeff_matrix,
     eval_matrix,
+    fermat_power,
     frobenius,
-    mersenne_powers,
-    poly_d,
     poly_mul,
     poly_rank,
-    reduce_mod,
+    substitute,
 )
-from storagecodes.storage import coset_matrix, w_matrix
+from storagecodes.storage import code_report, coset_matrix, d_matrix, w_matrix
 
-from oracles import poly_mul_by_dict, span_rank, xor_reduce_by_counts
+from oracles import (
+    d_by_binomials,
+    fermat_indicators,
+    mersenne_power,
+    mersenne_powers,
+    poly_mul_by_dict,
+    reduce_mod,
+    span_rank,
+    xor_reduce_by_counts,
+)
 
 
 def mono_set(p: SparsePoly) -> set:
     return set(p.monomials())
-
-
-def mersenne_power(p: SparsePoly, t: int) -> SparsePoly:
-    """p^(2^t - 1): the last power mersenne_powers yields."""
-    return list(mersenne_powers(p, t))[-1]
 
 
 def monomial_lists(max_monos=10, max_exp=6):
@@ -50,7 +53,7 @@ def random_poly(rng, max_monos=10, max_exp=6) -> SparsePoly:
 
 
 def test_base_polynomial_small_exponents():
-    d3 = poly_d(3)
+    d3 = fermat_power(3, 1)
     assert mono_set(d3) == {
         Monomial(3, 0, 0, 0),
         Monomial(2, 0, 1, 0),
@@ -59,7 +62,7 @@ def test_base_polynomial_small_exponents():
         Monomial(0, 1, 0, 0),
         Monomial(0, 0, 0, 1),
     }
-    d5 = poly_d(5)
+    d5 = fermat_power(5, 1)
     assert mono_set(d5) == {
         Monomial(5, 0, 0, 0),
         Monomial(4, 0, 1, 0),
@@ -68,27 +71,129 @@ def test_base_polynomial_small_exponents():
         Monomial(0, 1, 0, 0),
         Monomial(0, 0, 0, 1),
     }
-    assert len(poly_d(7)) == 10
-    assert len(poly_d(1)) == 4
+    assert len(fermat_power(7, 1)) == 10
+    assert len(fermat_power(1, 1)) == 4
     with pytest.raises(ParameterError):
-        poly_d(4)
+        fermat_power(4, 1)
     with pytest.raises(ParameterError):
-        poly_d(-3)
+        fermat_power(-3, 1)
 
 
-def test_poly_d_rejects_exponents_past_the_packing_cap_before_listing_terms(monkeypatch):
-    assert len(poly_d(polyf2.EXP_MAX)) == 2 ** 16 + 2
+@pytest.mark.parametrize("n, t, m", [(3, 0, None), (3, -1, None), (3, 3, 2)])
+def test_fermat_power_rejects_bad_parameters(n, t, m):
+    with pytest.raises(ParameterError):
+        fermat_power(n, t, m)
 
-    def refuse(monomials):
-        raise AssertionError("poly_d listed its terms")
 
-    monkeypatch.setattr(SparsePoly, "from_monomials", refuse)
-    with pytest.raises(BudgetError):
-        poly_d(2 ** 18 - 1)
+@pytest.mark.parametrize("n, t, m", [
+    (2 ** 18 - 1, 1, None),
+    (2 ** 70 + 1, 1, None),
+    (4097, 5, None),  # 4097 * 31 > 65535, while 4097 * 15 fits
+    (3, 17, 17),  # reduced exponents reach 2^17 - 1
+])
+def test_fermat_power_rejects_exponents_past_the_packing_cap_before_listing_terms(monkeypatch, n, t, m):
+    assert len(fermat_power(polyf2.EXP_MAX, 1)) == 2 ** 16 + 2
+    assert len(fermat_power(4097, 4)) == 6 ** 4  # (x1^4097 + y1^4097 + x2 + y2)^15
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fermat_power listed its terms")
+
+    monkeypatch.setattr(polyf2, "_submasks", refuse)
+    monkeypatch.setattr(np, "empty", refuse)
+    with pytest.raises(BudgetError, match="exponent"):
+        fermat_power(n, t, m)
+
+
+def test_fermat_power_refuses_a_size_over_the_cap_before_allocating(monkeypatch):
+    # d^(2^5 - 1) for n = 7 has 3792 monomials, d^15 has 832
+    monkeypatch.setattr(polyf2, "PAIR_BUDGET", 1000)
+    assert len(fermat_power(7, 4)) == 832
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fermat_power allocated its codes")
+
+    monkeypatch.setattr(np, "empty", refuse)
+    with pytest.raises(BudgetError, match="3792 monomials, over budget 1000"):
+        fermat_power(7, 5)
+
+
+def test_certify_stops_at_the_first_power_over_the_size_cap(monkeypatch):
+    monkeypatch.setattr(polyf2, "PAIR_BUDGET", 1000)
+    with pytest.raises(BudgetError) as err:
+        certify_unit_rate(7, 6)
+    assert err.value.trace == ((1, 8, 4), (2, 24, 16), (3, 64, 64), (4, 304, 256))
+
+
+@pytest.mark.parametrize("n", range(1, 22, 2))
+def test_fermat_power_equals_the_product_route(n):
+    d = d_by_binomials(n)
+    assert fermat_power(n, 1) == d
+    for t, power in enumerate(mersenne_powers(d, 7 if n < 15 else 6), start=1):
+        got = fermat_power(n, t)
+        assert got == power, t
+        assert (got._codes[1:] > got._codes[:-1]).all()
+
+
+@st.composite
+def reduced_members(draw):
+    """(n, m) with m <= 7 and n one of 3..15, q - 1, q + 1, 2q - 1 or an exponent past q."""
+    m = draw(st.integers(1, 7))
+    q = 1 << m
+    n = draw(st.sampled_from([*range(3, 16, 2), q - 1, q + 1, 2 * q - 1, 127, 129, 255, 257, 301]))
+    return n, m
+
+
+@settings(max_examples=25, deadline=None)
+@given(reduced_members())
+@example((3, 7))  # the largest member with a dense H
+def test_reduced_fermat_power_and_its_substitution_equal_the_product_route(member):
+    n, m = member
+    w, d = fermat_indicators(n, m)
+    got = fermat_power(n, m, m)
+    assert got == w
+    assert substitute(got, n, m) == d
+
+
+@pytest.mark.parametrize("n", [3, 5, 2 ** 70 + 1])
+def test_substitution_evaluates_to_the_d_matrix(n):
+    # eval_matrix is an independent route from the polynomial to the matrix entries
+    for m in (1, 2, 3):
+        f = GF2m(m)
+        d = substitute(fermat_power(n, m, m), n, m)
+        assert np.array_equal(eval_matrix(d, f).values, d_matrix(FamilyParams(n, m), f).to_dense())
+
+
+def test_fermat_power_of_the_n13_t7_certificate_fills_one_array():
+    # 84192 codes of 8 bytes are 0.67 MB; the product route peaked at 2.47 MB
+    tracemalloc.start()
+    try:
+        power = fermat_power(13, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(power) == 84192
+    assert peak <= 1_200_000
+
+
+class ProductFormed(Exception):
+    """Raised in place of a polynomial product."""
+
+
+def test_certify_and_code_report_form_no_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ProductFormed
+
+    monkeypatch.setattr(polyf2, "poly_mul", refuse)
+    monkeypatch.setattr(polyf2, "frobenius", refuse)
+    with pytest.raises(ProductFormed):  # the stubs are on the product route
+        mersenne_power(fermat_power(7, 1), 2)
+    assert certify_unit_rate(7, 6).trace[-1] == (6, 3256, 4096)
+    rep = code_report(FamilyParams(3, 4))
+    assert (rep.rank_h, rep.rank_w, rep.rank_d) == (100, 100, 100)
 
 
 def test_mul_identity_and_frobenius_square():
-    d3 = poly_d(3)
+    d3 = fermat_power(3, 1)
     assert poly_mul(d3, SparsePoly.one()) == d3
     assert poly_mul(d3, SparsePoly.zero()) == SparsePoly.zero()
     assert poly_mul(SparsePoly.zero(), d3) == SparsePoly.zero()
@@ -158,18 +263,19 @@ def test_products_sums_and_reductions_leave_their_operands_unchanged(p_monos, q_
     # _xor_reduce sorts and compacts its argument in place, so every caller must hand it a fresh array
     p = SparsePoly.from_monomials(p_monos)
     q = SparsePoly.from_monomials(q_monos)
-    before = p._codes.copy(), q._codes.copy()
+    r = reduce_mod(p, m)
+    before = p._codes.copy(), q._codes.copy(), r._codes.copy()
     results = [
         poly_mul(p, q),
         poly_mul(p, p),
         p + q,
         p + p,
-        reduce_mod(p, m),
+        substitute(r, 3, m),
         SparsePoly.from_monomials(p.monomials()),
     ]
-    assert np.array_equal(p._codes, before[0]) and np.array_equal(q._codes, before[1])
-    for r in results:
-        assert not np.shares_memory(r._codes, p._codes) and not np.shares_memory(r._codes, q._codes)
+    assert all(np.array_equal(a._codes, b) for a, b in zip((p, q, r), before))
+    for s in results:
+        assert not any(np.shares_memory(s._codes, a._codes) for a in (p, q, r))
 
 
 def test_addition_is_symmetric_difference():
@@ -232,19 +338,9 @@ def test_pow_mersenne_equals_repeated_multiplication():
             assert power == slow, t
 
 
-def test_mersenne_powers_call_the_module_bindings(monkeypatch):
-    calls = []
-    mul, frob = polyf2.poly_mul, polyf2.frobenius
-    monkeypatch.setattr(polyf2, "poly_mul", lambda *a: calls.append("mul") or mul(*a))
-    monkeypatch.setattr(polyf2, "frobenius", lambda *a: calls.append("frob") or frob(*a))
-    monkeypatch.setattr(polyf2, "poly_rank", lambda p: calls.append("rank") or poly_rank(p))
-    certify_unit_rate(3, t_max=2)
-    assert calls == ["rank", "frob", "mul", "rank"]
-
-
 def test_coeff_matrix_shares_the_polynomial_codes():
     # the codes are the entries, row (e_x1, e_x2) in the high half: no copy is made
-    p = mersenne_power(poly_d(7), 3)
+    p = fermat_power(7, 3)
     s = coeff_matrix(p)
     assert np.shares_memory(s._entries, p._codes)
     assert s.nnz == len(p)
@@ -254,7 +350,7 @@ def test_coeff_matrix_entries():
     p = SparsePoly.from_monomials([(0, 1, 0, 0), (0, 0, 0, 1)])  # x2 + y2
     # rows (0, 0), (0, 1) and columns (0, 0), (0, 1) in sorted key order
     assert coeff_matrix(p).compact().to_dense().tolist() == [[0, 1], [1, 0]]
-    d3 = poly_d(3)
+    d3 = fermat_power(3, 1)
     s = coeff_matrix(d3)
     assert s.nnz == len(d3) == 6
     m = s.compact()
@@ -264,8 +360,8 @@ def test_coeff_matrix_entries():
 def test_poly_rank_of_base_polynomial():
     # independent check: the 5x5 coefficient matrix has two equal rows
     # (x2 and y1^3 both map to a lone 1 in column (0, 0)), so rank is 4
-    m = coeff_matrix(poly_d(3)).compact()
-    assert poly_rank(poly_d(3)) == 4
+    m = coeff_matrix(fermat_power(3, 1)).compact()
+    assert poly_rank(fermat_power(3, 1)) == 4
     assert span_rank(m.row_int(i) for i in range(m.rows)) == 4
     assert poly_rank(SparsePoly.zero()) == 0
     assert poly_rank(SparsePoly.one()) == 1
@@ -302,7 +398,7 @@ def test_eval_matrix_constant_and_base_polynomial():
     ones = eval_matrix(SparsePoly.one(), f)
     assert (ones.values == 1).all()
     assert ones.rank() == 1
-    assert eval_matrix(poly_d(3), f).rank() == poly_rank(poly_d(3)) == 4
+    assert eval_matrix(fermat_power(3, 1), f).rank() == poly_rank(fermat_power(3, 1)) == 4
 
 
 def test_eval_matrix_matches_scalar_evaluation():
@@ -379,7 +475,7 @@ def test_eval_of_full_power_is_the_complement_matrix():
         f = GF2m(m)
         q = 1 << m
         t = m  # 2^m - 1 = q - 1
-        full = mersenne_power(poly_d(3), t)
+        full = fermat_power(3, t)
         fm = eval_matrix(full, f)
         assert fm.values.max() <= 1
         w = w_matrix(coset_matrix(FamilyParams(3, m), f))
@@ -490,7 +586,8 @@ def test_certify_trace_regression_n7():
 
 
 def test_block_rank_equals_flat_rank_for_n7_at_every_t():
-    for t, power in enumerate(mersenne_powers(poly_d(7), 6), start=1):
+    for t in range(1, 7):
+        power = fermat_power(7, t)
         assert poly_rank(power) == coeff_matrix(power).compact().rank(), t
 
 
@@ -510,8 +607,8 @@ def test_certify_trace_regression_n11_n13(n, ranks):
 
 @pytest.mark.extended
 def test_certify_trace_n19_to_t10():
-    # past the benchmark's sizes: about 20 s and 0.5 GB peak RSS on a 2-core host;
-    # the t = 10 product forms 22.2M monomial pairs and its matrix holds 9.86M entries
+    # past the benchmark's sizes: about 20 s and 0.4 GB peak RSS on a 2-core host;
+    # the t = 10 power and its matrix hold 9.86M entries
     ranks = (8, 34, 170, 620, 2000, 6896, 23890, 85350, 302074, 1093896)
     res = certify_unit_rate(19, t_max=10)
     assert res.trace == tuple((t, rank, 4 ** t) for t, rank in enumerate(ranks, start=1))
@@ -521,8 +618,8 @@ def test_certify_trace_n19_to_t10():
 def test_product_of_the_n13_t7_power_reduces_its_pairs_in_place():
     # 197120 pairs of 8-byte sums take 1.6 MB; np.unique's sorted copy, index
     # and count arrays took the peak to 6.5 MB, about 33 bytes per pair
-    d = poly_d(13)
-    acc, f = mersenne_power(d, 6), frobenius(d, 6)
+    d = fermat_power(13, 1)
+    acc, f = fermat_power(13, 6), frobenius(d, 6)
     tracemalloc.start()
     try:
         product = poly_mul(acc, f)
@@ -536,7 +633,7 @@ def test_product_of_the_n13_t7_power_reduces_its_pairs_in_place():
 def test_block_rank_of_the_n13_t7_power_holds_int32_labels():
     # 84192 entries, ranked in the polynomial's own codes with about 24 bytes per
     # entry beside them; the cap sits 10% above the measured 2.44 MB
-    power = mersenne_power(poly_d(13), 7)
+    power = fermat_power(13, 7)
     tracemalloc.start()
     try:
         rank = poly_rank(power)
@@ -554,5 +651,5 @@ def test_submultiplicativity_chain():
     c, base_rank, t = res.c_constant, res.poly_rank, res.t
     for m in (3, 4):
         f = GF2m(m)
-        fm = eval_matrix(mersenne_power(poly_d(3), m), f)
+        fm = eval_matrix(fermat_power(3, m), f)
         assert fm.rank() <= c * base_rank ** math.ceil(m / t)

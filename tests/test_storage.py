@@ -10,14 +10,7 @@ from storagecodes.errors import BudgetError, ParameterError, PropertyViolation
 from storagecodes.field import GF2m
 from storagecodes.bitmatrix import BitMatrix
 from storagecodes.graphs import FamilyParams, build_graph
-from storagecodes.polyf2 import (
-    SparsePoly,
-    eval_matrix,
-    mersenne_powers,
-    poly_d,
-    poly_rank,
-    reduce_mod,
-)
+from storagecodes.polyf2 import SparsePoly, eval_matrix, poly_rank
 from storagecodes.storage import (
     code_report,
     coset_matrix,
@@ -27,7 +20,15 @@ from storagecodes.storage import (
     w_matrix,
 )
 
-from oracles import coset_matrix_by_xor_table, d_matrix_by_evaluation, mat_vec, span_rank
+from oracles import (
+    coset_matrix_by_xor_table,
+    d_by_binomials,
+    d_matrix_by_evaluation,
+    mat_vec,
+    mersenne_power,
+    reduce_mod,
+    span_rank,
+)
 
 
 def test_coset_matrix_smallest_member():
@@ -140,7 +141,7 @@ def test_counting_bound_small():
 
 def fermat_indicator(delta: SparsePoly, m: int) -> SparsePoly:
     """red(delta^(2^m - 1)), reducing only the last power."""
-    return reduce_mod(list(mersenne_powers(delta, m))[-1], m)
+    return reduce_mod(mersenne_power(delta, m), m)
 
 
 @pytest.mark.parametrize("m", range(1, 6))
@@ -150,8 +151,8 @@ def test_polynomial_ranks_equal_dense_ranks(n, m):
     params = FamilyParams(n, m)
     h = coset_matrix(params, f)
     dense = (h.rank(), h.complement().rank(), d_matrix(params, f).rank())
-    w = fermat_indicator(poly_d(n), m)
-    d = fermat_indicator(poly_d(n) + SparsePoly.from_monomials([(n, 0, 0, 0), (0, 0, n, 0)]), m)
+    w = fermat_indicator(d_by_binomials(n), m)
+    d = fermat_indicator(d_by_binomials(n, [(n, 0, 0, 0), (0, 0, n, 0)]), m)
     assert (poly_rank(w + SparsePoly.one()), poly_rank(w), poly_rank(d)) == dense
     if m <= 3:  # the reduced powers are the W and D indicators entry by entry
         assert np.array_equal(eval_matrix(w, f).values, h.complement().to_dense())
@@ -160,10 +161,10 @@ def test_polynomial_ranks_equal_dense_ranks(n, m):
     assert (rep.rank_h, rep.rank_w, rep.rank_d) == dense
 
 
-@pytest.mark.parametrize("n", [2 ** 16 + 1, 2 ** 20 - 1, 2 ** 40 + 1])
+@pytest.mark.parametrize("n", [2 ** 16 + 1, 2 ** 20 - 1, 2 ** 40 + 1, 2 ** 70 + 1])
 def test_code_report_for_exponents_past_the_packing_cap(n):
-    # the polynomial route works with the exponent n reduces to on GF(q), since
-    # poly_d(n) itself has 2^popcount(n) terms and exponents over the 16-bit cap
+    # the polynomial route works with the exponents n r reduce to on GF(q), taken
+    # in Python ints: n itself is past the 16-bit cap, and 2^70 + 1 past int64
     f = GF2m(4)
     params = FamilyParams(n, 4)
     h = coset_matrix(params, f)
