@@ -6,9 +6,12 @@ its GF(2) rank drops below 4^t for some t, then the evaluation matrices of
 every large family member factor through blocks of t doublings, and the
 parity-check rank ratio of the family is forced to zero.
 
-The search expands d^(2^t - 1) as the product of the t doubled copies
-d^(2^i) (squaring only doubles exponents in characteristic 2), so each new
-factor is as sparse as d itself.
+The search forms no product.  2^t - 1 has all t bits set, so d^(2^t - 1)
+is the product of the t doubled copies d^(2^i), and picking one term from
+each copy never gives two monomials the same (x2, y2) exponents: nothing
+cancels.  ``fermat_power`` writes that closed form down directly, one
+monomial per choice and per submask of the binomial's exponent (Lucas), and
+each t is ranked block by block from it.
 """
 
 import time

@@ -36,7 +36,7 @@ for n in (3, 5, 7, 9):
         conn = is_connected(params, field)
         assert triangle_oracle(g) == tf
         assert bfs_connected(g) == conn
-        print(f"{n:>3} {m:>3} {g.num_vertices:>9} {(1 << m) - 1:>7} "
+        print(f"{n:>3} {m:>3} {g.num_vertices:>9} {g.degree:>7} "
               f"{g.edge_count():>7} {str(tf):>14} {str(conn):>10}")
     print()
 

@@ -27,7 +27,6 @@ from .errors import BudgetError, ParameterError, PropertyViolation
 from .field import GF2m, FieldMatrix, irreducible_polynomials, smallest_irreducible
 from .graphs import (
     CayleyGraph,
-    ConnectionSet,
     FamilyParams,
     build_graph,
     connection_set,
@@ -65,7 +64,6 @@ __all__ = [
     "CayleyGraph",
     "CertificationResult",
     "CodeReport",
-    "ConnectionSet",
     "FamilyParams",
     "FieldMatrix",
     "GF2m",

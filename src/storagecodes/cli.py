@@ -93,7 +93,7 @@ def cmd_graph(args, files) -> dict:
         "n": args.n,
         "m": args.m,
         "vertices": g.num_vertices,
-        "degree": (1 << args.m) - 1,
+        "degree": g.degree,
         "edges": g.edge_count(),
     }
     if args.check:

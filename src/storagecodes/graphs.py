@@ -5,18 +5,21 @@ where x1, x2 are polynomial-basis bit patterns.  Two vertices are adjacent
 iff their XOR is a nonzero connection vector; the zero vector (from a = 0)
 belongs to the connection set but is dropped by the graph, which keeps it
 simple.  In characteristic 2 every set is its own negative, so the graph is
-undirected, and it is (2^m - 1)-regular.
+undirected, and it is (2^m - 1)-regular.  A CayleyGraph holds nothing but
+its steps, the distinct nonzero connection vectors: the neighbours of v are
+v XOR s over the steps.
 
 The triangle and connectivity checks each come in two flavours: a fast
-criterion used in production (a single-variable equation scan, and the
-GF(2)-span test, which ranks the connection vectors as a BitMatrix) and a
-brute-force oracle on the built graph used by tests.
+criterion (a single-variable equation scan, and the GF(2)-span test, which
+ranks the connection vectors as a BitMatrix) and a brute-force oracle on the
+steps.  ``graph --check``, the graph-criteria claim and the tests run both
+and require them to agree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +27,8 @@ from .bitmatrix import BitMatrix
 from .errors import BudgetError, ParameterError, PropertyViolation
 from .field import GF2m
 
-#: default cap on num_vertices^2 bits of adjacency or dense matrix storage (2^31 bits = 256 MiB)
+#: default cap on num_vertices^2: the bits of a dense q^2 x q^2 matrix (2^31 bits = 256 MiB),
+#: and for a graph a bound on the per-edge work of its oracles and edge export; admits m <= 7
 DEFAULT_GRAPH_BUDGET_BITS = 1 << 31
 _EXPORT_BLOCK = 512  # vertices per block of export_edges
 
@@ -63,66 +67,41 @@ def encode_vertex(x1: int, x2: int, m: int) -> int:
     return (x1 << m) | x2
 
 
-@dataclass(frozen=True)
-class ConnectionSet:
-    """The q vectors (a, a^n), canonically encoded and sorted."""
-
-    vectors: tuple[int, ...]
-
-    @property
-    def nonzero(self) -> tuple[int, ...]:
-        return tuple(v for v in self.vectors if v)
-
-
-def connection_set(params: FamilyParams, field: GF2m) -> ConnectionSet:
+def connection_set(params: FamilyParams, field: GF2m) -> tuple[int, ...]:
+    """The q vectors (a, a^n), (0, 0) included, canonically encoded and sorted."""
     if field.m != params.m:
         raise ParameterError(f"field degree {field.m} does not match m={params.m}")
-    vecs = sorted(
-        encode_vertex(a, field.pow(a, params.n), field.m) for a in field.elements()
-    )
-    return ConnectionSet(tuple(vecs))
+    return tuple(sorted(encode_vertex(a, field.pow(a, params.n), field.m) for a in field.elements()))
 
 
 @dataclass(frozen=True)
 class CayleyGraph:
+    """The graph on num_vertices vertices where v and v XOR s are adjacent
+    for every step s, the steps being the distinct nonzero connection
+    vectors, sorted; every vertex has one neighbour per step."""
+
     params: FamilyParams
-    connection: ConnectionSet
     num_vertices: int
-    adjacency: list[int] = dc_field(repr=False)  # per-vertex bit rows
+    steps: tuple[int, ...]
 
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
-
-    def neighbors(self, v: int):
-        row = self.adjacency[v]
-        while row:
-            low = row & -row
-            yield low.bit_length() - 1
-            row ^= low
+    @property
+    def degree(self) -> int:
+        return len(self.steps)
 
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.num_vertices)) // 2
+        return self.num_vertices * self.degree // 2
 
 
 def build_graph(params: FamilyParams, field: GF2m) -> CayleyGraph:
-    """Materialise the graph with adjacency bit rows.
-
-    Needs num_vertices^2 bits, checked first; DEFAULT_GRAPH_BUDGET_BITS admits m <= 7.
-    """
+    """The graph of (n, m), after checking num_vertices^2 against
+    DEFAULT_GRAPH_BUDGET_BITS, which admits m <= 7."""
     n_vert = 1 << (2 * field.m)
     if n_vert * n_vert > DEFAULT_GRAPH_BUDGET_BITS:
         raise BudgetError(
-            f"adjacency for m={field.m} needs {n_vert}^2 bits, over budget {DEFAULT_GRAPH_BUDGET_BITS}"
+            f"graph for m={field.m} has {n_vert}^2 vertex pairs, over budget {DEFAULT_GRAPH_BUDGET_BITS}"
         )
-    conn = connection_set(params, field)
-    nonzero = conn.nonzero
-    adjacency = [0] * n_vert
-    for v in range(n_vert):
-        row = 0
-        for s in nonzero:
-            row |= 1 << (v ^ s)
-        adjacency[v] = row
-    return CayleyGraph(params, conn, n_vert, adjacency)
+    steps = sorted(set(connection_set(params, field)) - {0})
+    return CayleyGraph(params, n_vert, tuple(steps))
 
 
 def is_triangle_free_criterion(params: FamilyParams, field: GF2m) -> bool:
@@ -155,15 +134,15 @@ def is_triangle_free_criterion(params: FamilyParams, field: GF2m) -> bool:
 
 
 def triangle_oracle(graph: CayleyGraph) -> bool:
-    """Brute force: no three distinct nonzero connection vectors XOR to zero.
+    """Brute force: no three distinct steps XOR to zero.
 
     Scans all pairs with hashing, so O(q^2); meant for small m.
     """
-    vecs = graph.connection.nonzero
+    vecs = graph.steps
     vset = set(vecs)
     for i, a in enumerate(vecs):
         for b in vecs[i + 1 :]:
-            # a ^ b is nonzero and distinct from both unless one of them is 0
+            # the steps are distinct and nonzero, so a ^ b is nonzero and differs from both
             if a ^ b in vset:
                 return False
     return True
@@ -175,21 +154,19 @@ def is_connected(params: FamilyParams, field: GF2m) -> bool:
     A Cayley graph on a GF(2)-vector space is connected iff its connection
     set spans the space, here iff the q vectors have rank 2m.
     """
-    conn = connection_set(params, field)
-    return BitMatrix.from_row_ints(conn.vectors, 2 * field.m).rank() == 2 * field.m
+    return BitMatrix.from_row_ints(connection_set(params, field), 2 * field.m).rank() == 2 * field.m
 
 
 def bfs_connected(graph: CayleyGraph) -> bool:
     """Breadth-first search oracle for connectivity."""
     n_vert = graph.num_vertices
-    nonzero = graph.connection.nonzero
     seen = 1  # vertex 0
     frontier = [0]
     count = 1
     while frontier:
         nxt = []
         for v in frontier:
-            for s in nonzero:
+            for s in graph.steps:
                 u = v ^ s
                 if not (seen >> u) & 1:
                     seen |= 1 << u
@@ -204,14 +181,14 @@ def export_edges(graph: CayleyGraph, sink) -> None:
     with u < v, vertices in the canonical integer encoding.
 
     Lines come in order of u, then v.  The neighbours of u are u XOR s over
-    the nonzero connection vectors s, so each block of vertices takes its
-    lines from one sorted XOR table.
+    the steps s, so each block of vertices takes its lines from one sorted
+    XOR table.
     """
     p = graph.params
     sink.write(
         f"# cayley n={p.n} m={p.m} vertices={graph.num_vertices} edges={graph.edge_count()}\n"
     )
-    steps = np.array(graph.connection.nonzero, dtype=np.int64)
+    steps = np.array(graph.steps, dtype=np.int64)
     for u0 in range(0, graph.num_vertices, _EXPORT_BLOCK):
         u = np.arange(u0, min(u0 + _EXPORT_BLOCK, graph.num_vertices), dtype=np.int64)[:, None]
         v = np.sort(u ^ steps, axis=1)

@@ -181,14 +181,18 @@ def sample_codewords(h: BitMatrix, count: int, seed: int) -> list[int]:
 def verify_repair(graph: CayleyGraph, codeword: int) -> bool:
     """Check the storage property straight against the graph.
 
-    Every coordinate must equal the XOR of its neighbours' coordinates.
-    This goes through the adjacency rows, not through H, so it is an
+    Every coordinate v must equal the XOR of the coordinates v XOR s over
+    the graph's steps s, one gather of all num_vertices coordinates per
+    step.  This reads the connection vectors, not H, so it is an
     independent check on kernel vectors of the coset matrix.
     """
     n_vert = graph.num_vertices
     if codeword < 0 or codeword >> n_vert:
         raise ParameterError(f"codeword does not fit {n_vert} coordinates")
-    for v in range(n_vert):
-        if (codeword >> v) & 1 != (codeword & graph.adjacency[v]).bit_count() & 1:
-            return False
-    return True
+    raw = np.frombuffer(codeword.to_bytes((n_vert + 7) // 8, "little"), dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")[:n_vert]
+    vertices = np.arange(n_vert)
+    parity = bits.copy()
+    for s in graph.steps:
+        parity ^= bits[vertices ^ s]
+    return not parity.any()

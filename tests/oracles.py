@@ -61,7 +61,7 @@ def coset_matrix_by_xor_table(params, field) -> BitMatrix:
     """H[x][y] = [x XOR y in the connection set], one XOR table per 1024-row block."""
     n_vert = 1 << (2 * field.m)
     indicator = np.zeros(n_vert, dtype=bool)
-    indicator[list(connection_set(params, field).vectors)] = True
+    indicator[list(connection_set(params, field))] = True
     ids = np.arange(n_vert, dtype=np.int32)
     out = BitMatrix(n_vert, n_vert)
     for r0 in range(0, n_vert, 1024):
@@ -88,15 +88,29 @@ def d_matrix_by_evaluation(params, field) -> BitMatrix:
 
 
 def export_edges_by_neighbors(graph, sink) -> None:
-    """The edge export, one line per neighbour v > u of each vertex u, from the adjacency rows."""
+    """The edge export, one line per neighbour v > u of each vertex u, from the sorted u XOR s."""
     p = graph.params
     sink.write(
         f"# cayley n={p.n} m={p.m} vertices={graph.num_vertices} edges={graph.edge_count()}\n"
     )
     for u in range(graph.num_vertices):
-        for v in graph.neighbors(u):
+        for v in sorted(u ^ s for s in graph.steps):
             if v > u:
                 sink.write(f"{u} {v}\n")
+
+
+def verify_repair_by_rows(graph, codeword: int) -> bool:
+    """The repair check on Python-int neighbour rows 1 << (v XOR s), one vertex at a time."""
+    n_vert = graph.num_vertices
+    if codeword < 0 or codeword >> n_vert:
+        raise ParameterError(f"codeword does not fit {n_vert} coordinates")
+    for v in range(n_vert):
+        row = 0
+        for s in graph.steps:
+            row |= 1 << (v ^ s)
+        if (codeword >> v) & 1 != (codeword & row).bit_count() & 1:
+            return False
+    return True
 
 
 def multinomial_parity_by_factorials(n: int, parts) -> int:

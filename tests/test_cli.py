@@ -6,6 +6,7 @@ import pytest
 from storagecodes import carryfree, graphs, polyf2, storage, verification
 from storagecodes.bitmatrix import BitMatrix
 from storagecodes.cli import main
+from storagecodes.errors import ParameterError
 from storagecodes.field import GF2m
 from storagecodes.graphs import FamilyParams
 from storagecodes.storage import coset_matrix
@@ -424,5 +425,5 @@ def test_verify_all_has_no_quick_budget(capsys, monkeypatch):
 
 
 def test_claims_for_budget_rejects_quick():
-    with pytest.raises(ValueError, match="unknown budget"):
+    with pytest.raises(ParameterError, match="unknown budget"):
         verification.claims_for_budget("quick")

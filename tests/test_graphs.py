@@ -1,8 +1,10 @@
 import io
 import math
+import tracemalloc
 
 import pytest
 
+from storagecodes import graphs, verification
 from storagecodes.errors import BudgetError, ParameterError
 from storagecodes.field import GF2m
 from storagecodes.graphs import (
@@ -44,17 +46,17 @@ def test_exponent_pattern_helpers():
 def test_connection_set_small_examples():
     f1 = GF2m(1)
     cs = connection_set(FamilyParams(3, 1), f1)
-    assert cs.vectors == (0, 3)  # (0,0) and (1,1)
+    assert cs == (0, 3)  # (0,0) and (1,1)
 
     f2 = GF2m(2)
     cs = connection_set(FamilyParams(3, 2), f2)
     # a^3 = 1 for every nonzero a in GF(4)
-    assert cs.vectors == tuple(sorted([0] + [encode_vertex(a, 1, 2) for a in range(1, 4)]))
+    assert cs == tuple(sorted([0] + [encode_vertex(a, 1, 2) for a in range(1, 4)]))
 
     f3 = GF2m(3)
     cs = connection_set(FamilyParams(3, 3), f3)
-    assert len(cs.vectors) == 8
-    cubes = {v & 7 for v in cs.vectors if v >> 3}
+    assert len(cs) == 8
+    cubes = {v & 7 for v in cs if v >> 3}
     assert len(cubes) == 7  # cubing permutes the nonzero elements, gcd(3, 7) = 1
 
 
@@ -67,16 +69,45 @@ def test_build_graph_statistics():
     for m, verts, deg, edges in ((1, 4, 1, 2), (2, 16, 3, 24), (3, 64, 7, 224)):
         g = build_graph(FamilyParams(3, m), GF2m(m))
         assert g.num_vertices == verts
-        assert all(g.degree(v) == deg for v in range(verts))
+        assert g.degree == deg
+        assert all(len({v ^ s for s in g.steps}) == deg for v in range(verts))
         assert g.edge_count() == edges
 
 
 def test_graph_is_simple_and_symmetric():
     g = build_graph(FamilyParams(5, 3), GF2m(3))
     for v in range(g.num_vertices):
-        assert not (g.adjacency[v] >> v) & 1  # no loop
-        for u in g.neighbors(v):
-            assert (g.adjacency[u] >> v) & 1
+        neighbours = {v ^ s for s in g.steps}
+        assert v not in neighbours  # no loop
+        for u in neighbours:
+            assert v in {u ^ s for s in g.steps}
+
+
+def test_build_graph_holds_no_per_vertex_data():
+    # one Python-int adjacency row per vertex took the m = 7 peak to 34.5 MB
+    field = GF2m(7)
+    tracemalloc.start()
+    try:
+        g = build_graph(FamilyParams(3, 7), field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.num_vertices, g.degree) == (1 << 14, 127)
+    assert peak <= 1 << 20, f"build_graph peaked at {peak} bytes"
+
+
+def test_a_repeated_connection_vector_lowers_the_degree_and_fails_the_claim(monkeypatch):
+    listed = graphs.connection_set
+
+    def repeated(params, field):  # the second-to-last vector in place of the last
+        vecs = listed(params, field)
+        return vecs[:-1] + vecs[-2:-1]
+
+    monkeypatch.setattr(graphs, "connection_set", repeated)
+    g = build_graph(FamilyParams(3, 3), GF2m(3))
+    assert g.degree == 8 - 2
+    assert g.edge_count() == 64 * 6 // 2
+    assert verification.claim_graph_criteria(0) == (False, "regularity fails at n=3, m=1")
 
 
 def test_build_graph_budget():
@@ -124,7 +155,7 @@ def test_connectivity_equals_pivot_rank_of_connection_set():
         for m in range(1, 6):
             f = GF2m(m)
             params = FamilyParams(n, m)
-            want = pivot_rank(connection_set(params, f).vectors) == 2 * m
+            want = pivot_rank(connection_set(params, f)) == 2 * m
             assert is_connected(params, f) == want, (n, m)
 
 
@@ -174,7 +205,7 @@ def test_export_edges_round_trip():
         assert u < v
         adjacency[u] |= 1 << v
         adjacency[v] |= 1 << u
-    assert adjacency == g.adjacency
+    assert adjacency == [sum(1 << (v ^ s) for s in g.steps) for v in range(g.num_vertices)]
 
 
 @pytest.mark.parametrize("m", range(1, 5))

@@ -28,6 +28,7 @@ from oracles import (
     mersenne_power,
     reduce_mod,
     span_rank,
+    verify_repair_by_rows,
 )
 
 
@@ -263,6 +264,27 @@ def test_verify_repair_basic():
     assert not verify_repair(g, 1 << 5)
     with pytest.raises(ParameterError):
         verify_repair(g, 1 << g.num_vertices)
+    with pytest.raises(ParameterError, match="does not fit 16 coordinates"):
+        verify_repair(g, -1)
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_verify_repair_agrees_with_the_neighbour_rows(n, m):
+    f = GF2m(m)
+    params = FamilyParams(n, m)
+    h = coset_matrix(params, f)
+    g = build_graph(params, f)
+    rng = np.random.default_rng(1000 * n + m)
+    codewords = h.kernel_basis() + sample_codewords(h, 10, seed=m)
+    for w in codewords:
+        assert verify_repair(g, w) and verify_repair_by_rows(g, w)
+        for j in rng.integers(0, g.num_vertices, size=4).tolist():
+            assert not verify_repair(g, w ^ (1 << j))
+            assert not verify_repair_by_rows(g, w ^ (1 << j))
+    for _ in range(20):
+        w = int.from_bytes(rng.bytes(g.num_vertices // 8 or 1), "little") & ((1 << g.num_vertices) - 1)
+        assert verify_repair(g, w) == verify_repair_by_rows(g, w)
 
 
 def test_kernel_vectors_pass_repair_via_the_graph():
