@@ -16,8 +16,6 @@ from .carryfree import (
     Zsqrt2,
     b_set,
     count_nm,
-    lessdot,
-    multinomial_parity,
     nm_bound,
     nm_closed_form,
     nm_long_recurrence,
@@ -89,8 +87,6 @@ __all__ = [
     "irreducible_polynomials",
     "is_connected",
     "is_triangle_free_criterion",
-    "lessdot",
-    "multinomial_parity",
     "nm_bound",
     "nm_closed_form",
     "nm_long_recurrence",

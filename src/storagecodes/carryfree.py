@@ -21,7 +21,6 @@ tests.  Everything here is exact integer arithmetic, never floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -33,29 +32,6 @@ ENUMERATION_BUDGET = 4 ** 14
 
 #: b_set(s, r) decodes masks 2^(k+1) bits wide for s of k bits; cap k here
 _B_SET_MAX_BITS = 24
-
-
-def lessdot(a: int, b: int, c: int) -> bool:
-    """Digitwise a_i + b_i <= c_i in base 2.
-
-    Equivalent to: a and b have disjoint bits and a | b is a submask of c.
-    """
-    if a < 0 or b < 0 or c < 0:
-        raise ParameterError("lessdot is defined on non-negative integers")
-    return (a & b) == 0 and (a | b) | c == c
-
-
-def multinomial_parity(n: int, parts: Sequence[int]) -> int:
-    """Parity of the multinomial coefficient n choose (parts).
-
-    1 iff the coefficient is odd, i.e. the parts are pairwise digit-disjoint
-    and OR together to n (the addition involves no carries).
-    """
-    if n < 0 or any(p < 0 for p in parts):
-        raise ParameterError("negative argument")
-    if sum(parts) != n:
-        raise ParameterError(f"parts sum to {sum(parts)}, expected {n}")
-    return 1 if sum(p.bit_count() for p in parts) == n.bit_count() else 0
 
 
 def _b_values(s: int, r: int) -> list[tuple[int, int]]:
@@ -114,13 +90,11 @@ def count_nm(m: int, r: int = 1) -> int:
 
 
 def nm_recurrence(m: int) -> int:
-    """N_m for r=1 via N_m = 4 N_{m-1} - 2 N_{m-2}, seeded N_0=1, N_1=4."""
+    """N_m for r=1 via N_m = 4 N_{m-1} - 2 N_{m-2}, seeded N_{-1}=0, N_0=1 (so N_1=4)."""
     if m < 0:
         raise ParameterError("m must be non-negative")
-    if m == 0:
-        return 1
-    prev, cur = 1, 4
-    for _ in range(m - 1):
+    prev, cur = 0, 1
+    for _ in range(m):
         prev, cur = cur, 4 * cur - 2 * prev
     return cur
 
@@ -186,9 +160,6 @@ class Zsqrt2:
 
     def __le__(self, other: "Zsqrt2") -> bool:
         return (self - other).sign() <= 0
-
-    def __lt__(self, other: "Zsqrt2") -> bool:
-        return (self - other).sign() < 0
 
     def __repr__(self) -> str:
         return f"{self.u}{self.v:+d}*sqrt(2)"

@@ -54,7 +54,7 @@ def is_irreducible(p: int) -> bool:
     if d == 0:
         return False
     for q in range(2, 1 << (d // 2 + 1)):
-        if poly_degree(q) >= 1 and poly_mod(p, q) == 0:
+        if poly_mod(p, q) == 0:
             return False
     return True
 
@@ -251,12 +251,6 @@ class FieldMatrix:
             and self.field == other.field
             and np.array_equal(self.values, other.values)
         )
-
-    def hadamard(self, other: "FieldMatrix") -> "FieldMatrix":
-        """Entrywise field product (the field analogue of bitwise AND)."""
-        if self.field != other.field or self.shape != other.shape:
-            raise ParameterError("hadamard needs equal fields and shapes")
-        return FieldMatrix(self.field, self.field.mul_vec(self.values, other.values))
 
     def rank(self) -> int:
         """Rank over GF(2^m) by Gaussian elimination with the log tables."""

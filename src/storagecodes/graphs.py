@@ -158,22 +158,23 @@ def is_connected(params: FamilyParams, field: GF2m) -> bool:
 
 
 def bfs_connected(graph: CayleyGraph) -> bool:
-    """Breadth-first search oracle for connectivity."""
-    n_vert = graph.num_vertices
-    seen = 1  # vertex 0
-    frontier = [0]
-    count = 1
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for s in graph.steps:
-                u = v ^ s
-                if not (seen >> u) & 1:
-                    seen |= 1 << u
-                    count += 1
-                    nxt.append(u)
-        frontier = nxt
-    return count == n_vert
+    """Breadth-first search oracle for connectivity.
+
+    Each level XORs the frontier with one step at a time and keeps the
+    vertices not yet seen, so every vertex enters a frontier once.
+    """
+    seen = np.zeros(graph.num_vertices, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        reached = [frontier[:0]]
+        for s in graph.steps:
+            u = frontier ^ s
+            u = u[~seen[u]]
+            seen[u] = True
+            reached.append(u)
+        frontier = np.concatenate(reached)
+    return bool(seen.all())
 
 
 def export_edges(graph: CayleyGraph, sink) -> None:

@@ -125,9 +125,6 @@ class SparsePoly:
     def __len__(self) -> int:
         return int(self._codes.size)
 
-    def __bool__(self) -> bool:
-        return self._codes.size > 0
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SparsePoly) and np.array_equal(self._codes, other._codes)
 
@@ -143,10 +140,8 @@ class SparsePoly:
 
     def max_exponents(self) -> Monomial:
         """Per-variable degree (0 for the zero polynomial)."""
-        if not self._codes.size:
-            return Monomial(0, 0, 0, 0)
         return Monomial(
-            *(int(((self._codes >> np.uint64(sh)) & np.uint64(EXP_MAX)).max()) for sh in _SHIFTS)
+            *(int(((self._codes >> np.uint64(sh)) & np.uint64(EXP_MAX)).max(initial=0)) for sh in _SHIFTS)
         )
 
 

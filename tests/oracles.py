@@ -113,13 +113,6 @@ def verify_repair_by_rows(graph, codeword: int) -> bool:
     return True
 
 
-def multinomial_parity_by_factorials(n: int, parts) -> int:
-    total = math.factorial(n)
-    for p in parts:
-        total //= math.factorial(p)
-    return total % 2
-
-
 def b_set_by_pair_scan(s: int, r: int) -> list[int]:
     """Quadratic scan over all (l1, l2) pairs below s."""
     out = set()

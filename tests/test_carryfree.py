@@ -7,8 +7,6 @@ from storagecodes.carryfree import (
     b_set,
     count_nm,
     fifteen_sixteenths_bound,
-    lessdot,
-    multinomial_parity,
     nm_bound,
     nm_closed_form,
     nm_growth_bound_holds,
@@ -17,42 +15,7 @@ from storagecodes.carryfree import (
 )
 from storagecodes.errors import BudgetError, ParameterError
 
-from oracles import b_set_by_pair_scan, b_values_by_sets, multinomial_parity_by_factorials
-
-
-def test_lessdot_examples():
-    assert lessdot(1, 2, 3)
-    assert not lessdot(1, 1, 3)
-    assert lessdot(5, 2, 7)
-    assert lessdot(0, 0, 0)
-    assert not lessdot(4, 0, 3)
-
-
-def test_lessdot_matches_digitwise_definition():
-    rng = np.random.default_rng(1)
-    for _ in range(500):
-        a, b, c = (int(x) for x in rng.integers(0, 256, size=3))
-        digitwise = all(
-            ((a >> i) & 1) + ((b >> i) & 1) <= ((c >> i) & 1) for i in range(9)
-        )
-        assert lessdot(a, b, c) == digitwise
-
-
-def test_multinomial_parity_examples():
-    assert multinomial_parity(3, [1, 2]) == 1
-    assert multinomial_parity(3, [1, 1, 1]) == 0
-    assert multinomial_parity(3, [1, 1, 0, 1]) == 0
-    assert multinomial_parity(3, [0, 1, 2, 0]) == 1
-    with pytest.raises(ParameterError):
-        multinomial_parity(3, [1, 1])
-
-
-def test_multinomial_parity_against_factorials():
-    for n in range(13):
-        for l1 in range(n + 1):
-            for l2 in range(n + 1 - l1):
-                parts = [l1, l2, n - l1 - l2]
-                assert multinomial_parity(n, parts) == multinomial_parity_by_factorials(n, parts)
+from oracles import b_set_by_pair_scan, b_values_by_sets
 
 
 def test_b_set_examples():
@@ -241,5 +204,3 @@ def test_parameter_validation():
         count_nm(-1, 1)
     with pytest.raises(ParameterError):
         nm_long_recurrence(0)
-    with pytest.raises(ParameterError):
-        lessdot(-1, 0, 0)

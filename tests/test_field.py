@@ -181,13 +181,3 @@ def test_field_matrix_rank_binary_matches_bit_rank():
     for shape in ((0, 0), (0, 4), (4, 0)):
         zero = np.zeros(shape, dtype=np.int64)
         assert FieldMatrix(f, zero).rank() == BitMatrix.from_dense(zero).rank() == 0
-
-
-def test_field_matrix_hadamard():
-    f = GF2m(2)
-    a = FieldMatrix(f, np.array([[1, 2], [3, 0]]))
-    b = FieldMatrix(f, np.array([[2, 2], [1, 3]]))
-    had = a.hadamard(b)
-    assert had.values.tolist() == [[2, 3], [3, 0]]
-    with pytest.raises(ParameterError):
-        a.hadamard(FieldMatrix(f, np.zeros((1, 1), dtype=int)))

@@ -2,12 +2,14 @@ import io
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from storagecodes import graphs, verification
 from storagecodes.errors import BudgetError, ParameterError
 from storagecodes.field import GF2m
 from storagecodes.graphs import (
+    CayleyGraph,
     FamilyParams,
     bfs_connected,
     build_graph,
@@ -175,6 +177,39 @@ def test_connectivity_span_equals_bfs():
             params = FamilyParams(n, m)
             want = bfs_connected(build_graph(params, f))
             assert is_connected(params, f) == want, (n, m)
+
+
+def test_bfs_equals_pivot_rank_on_random_step_sets():
+    # step sets outside the family: k-bit vectors, drawn either from the
+    # whole space or with one bit cleared, so both outcomes come up
+    rng = np.random.default_rng(61)
+    outcomes = set()
+    for k in range(1, 11):
+        for _ in range(6):
+            drawn = rng.integers(1, 1 << k, size=int(rng.integers(1, k + 3)))
+            if rng.integers(2):
+                drawn &= ~(1 << int(rng.integers(k)))
+            steps = tuple(sorted(set(drawn.tolist()) - {0}))
+            want = pivot_rank(steps) == k
+            assert bfs_connected(CayleyGraph(FamilyParams(3, 1), 1 << k, steps)) == want, (k, steps)
+            outcomes.add(want)
+    assert outcomes == {False, True}
+
+
+def test_bfs_with_no_steps():
+    assert bfs_connected(CayleyGraph(FamilyParams(3, 1), 1, ()))
+    assert not bfs_connected(CayleyGraph(FamilyParams(3, 1), 4, ()))
+
+
+def test_graph_criteria_claim_checks_the_triangle_oracle_for_every_n(monkeypatch):
+    criterion = graphs.is_triangle_free_criterion
+
+    def flipped_at_11(params, field):
+        free = criterion(params, field)
+        return not free if params.n == 11 else free
+
+    monkeypatch.setattr(graphs, "is_triangle_free_criterion", flipped_at_11)
+    assert verification.claim_graph_criteria(0) == (False, "triangle oracle disagrees at n=11, m=1")
 
 
 def test_connectivity_theorem_instances():
