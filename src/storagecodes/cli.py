@@ -10,7 +10,8 @@ CSV text; ``files`` maps each named output to the handle ``main`` opened,
 for dumps and edge exports.
 verify-all streams its claim lines itself and returns its exit code.
 Exit codes: 0 success, 2 parameter error, 3 budget error, 4 violated
-invariant or failed verification claim.
+invariant or failed verification claim.  ``code-report`` exits 4 when its
+rank routes disagree, ``certify`` when the two halves of a power do.
 """
 
 from __future__ import annotations

@@ -21,6 +21,17 @@ the coefficient matrix, rows (e_x1, e_x2) and columns (e_y1, e_y2); a code
 is already that matrix's entry row << 32 | col, so ``coeff_matrix`` wraps p's
 array without a copy.  ``SparseBitMatrix.rank`` splits it into connected
 blocks and eliminates the blocks of one rounded shape in lockstep.
+
+Give x1 and y1 weight 1 and x2 and y2 weight n.  Every monomial of a power
+of d has one total weight, and reduction mod x^q - x keeps it mod q - 1, so
+no block of the coefficient matrix crosses two row weights (two classes mod
+q - 1); ``graded_part`` keeps the rows of chosen weights.  d is symmetric
+under (x1, x2) <-> (y1, y2), so both matrices equal their own transposes,
+and only a part of the weights has to be ranked: ``certify_unit_rate`` ranks
+the rows below half the total weight and doubles the rank, and
+``storage.graded_ranks`` ranks one class per orbit of doubling and negation.
+``poly_rank`` of the whole polynomial stays as the general rank and the
+reference the tests hold both against.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .bitmatrix import DENSE_BITS, SparseBitMatrix
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, ParameterError, PropertyViolation
 from .field import FieldMatrix, GF2m
 
 EXP_BITS = 16
@@ -44,8 +55,11 @@ PAIR_BUDGET = 10 ** 8
 #: default cap on certification exponents
 DEFAULT_T_MAX = 8
 
+#: certify_unit_rate ranks both halves of d^(2^t - 1), and compares them, up to this t
+HALF_CHECK_T_MAX = 7
+
 _EVAL_LOOKUPS = 1 << 31  # cap on the table lookups of one eval_matrix
-_RUN_CHUNK = 1 << 14  # codes per pass of the run scan in _xor_reduce
+_RUN_CHUNK = 1 << 14  # codes per pass of the scans in _xor_reduce and graded_part
 
 
 class Monomial(NamedTuple):
@@ -240,6 +254,30 @@ def poly_rank(p: SparsePoly) -> int:
     return coeff_matrix(p).rank()
 
 
+def graded_part(p: SparsePoly, n: int, keep: np.ndarray, period: int | None = None) -> SparsePoly:
+    """The monomials of p whose row weight w has keep[w] set.
+
+    Row (e_x1, e_x2) has weight w = e_x1 + n e_x2, or its residue mod period
+    if one is given; keep must cover every weight that occurs.  The weights
+    are worked out _RUN_CHUNK codes at a time into a byte per code, so beside
+    the codes only that mask and the kept copy grow with p.
+    """
+    codes = p._codes
+    if period is not None:
+        n %= period  # Python ints keep any n exact
+    mask = np.empty(codes.size, dtype=bool)
+    for lo in range(0, codes.size, _RUN_CHUNK):
+        row = codes[lo : lo + _RUN_CHUNK] >> np.uint64(32)
+        w = row >> np.uint64(EXP_BITS)
+        row &= np.uint64(EXP_MAX)
+        row *= np.uint64(n)
+        w += row
+        if period is not None:
+            w %= np.uint64(period)
+        mask[lo : lo + _RUN_CHUNK] = keep[w]
+    return SparsePoly(codes[mask])
+
+
 def eval_matrix(p: SparsePoly, field: GF2m) -> FieldMatrix:
     """The q^2 x q^2 matrix of values p(x1, x2, y1, y2) over GF(2^m).
 
@@ -305,20 +343,47 @@ class CertificationResult:
         return self.poly_rank < self.threshold
 
 
+def _certificate_rank(n: int, t: int) -> int:
+    """rank(d^(2^t - 1)): twice the rank of its rows of weight below T/2, T = n (2^t - 1).
+
+    d is symmetric under (x1, x2) <-> (y1, y2), so the coefficient matrix of
+    its power is its own transpose.  Every monomial has weight T (x1, y1
+    weigh 1, x2, y2 weigh n), so the rows of weight w meet only the columns
+    of weight T - w, and they are the transpose of the rows of weight T - w.
+    T is odd, so no weight pairs with itself.  Up to HALF_CHECK_T_MAX the rows
+    above T/2 are ranked as well, and a different rank raises
+    PropertyViolation.
+    """
+    p = fermat_power(n, t)
+    total = n * ((1 << t) - 1)
+    low = 2 * np.arange(total + 1) < total
+    high = graded_part(p, n, ~low) if t <= HALF_CHECK_T_MAX else None
+    p = graded_part(p, n, low)  # the whole power is dropped before any rank
+    rank = poly_rank(p)
+    if high is not None and (high_rank := poly_rank(high)) != rank:
+        raise PropertyViolation(
+            f"n={n} t={t}: the rows of weight below {total}/2 have rank {rank}, those above {high_rank}"
+        )
+    return 2 * rank
+
+
 def certify_unit_rate(n: int, t_max: int = DEFAULT_T_MAX) -> CertificationResult:
     """Search t = 1..t_max for rank(d^(2^t - 1)) < 4^t, d = (x1+y1)^n + x2 + y2.
 
     Stops at the first certifying t.  n = 1 is allowed here (the degenerate
     base certifies immediately at t = 1); the graph family itself starts at
-    n = 3.  A power over ``PAIR_BUDGET`` codes or past the exponent cap
-    raises BudgetError, which carries the ranks already computed in ``trace``.
+    n = 3.  Each rank is twice that of the power's low half
+    (``_certificate_rank``); up to ``HALF_CHECK_T_MAX`` the high half is
+    ranked too, and halves of different rank raise PropertyViolation.  A
+    power over ``PAIR_BUDGET`` codes or past the exponent cap raises
+    BudgetError, which carries the ranks already computed in ``trace``.
     """
     if t_max < 1:
         raise ParameterError("t_max must be a positive integer")
     trace: list[tuple[int, int, int]] = []
     try:
         for t in range(1, t_max + 1):
-            trace.append((t, poly_rank(fermat_power(n, t)), 4 ** t))
+            trace.append((t, _certificate_rank(n, t), 4 ** t))
             if trace[-1][1] < trace[-1][2]:
                 break
     except BudgetError as err:

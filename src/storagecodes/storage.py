@@ -14,10 +14,12 @@ and d = (x1+y1)^n + x2 + y2:
 H and D come from one zero-set builder: every row holds q zeros of d, or of
 d + x1^n + y1^n for D, one per y1, and D is that matrix complemented.  Both
 raise BudgetError for m >= 8 (over DEFAULT_GRAPH_BUDGET_BITS) before
-allocating.  ``code_report`` ranks H densely and W, D as polynomials: W is
-red(d^(q-1)) (polyf2.fermat_power), and rank(1 + W) must equal the dense
-rank of H; D is W substituted (polyf2.substitute), so rank_D = rank_W by
-construction, and substitution_ok checks that the block rank sees it.
+allocating.  ``code_report`` ranks H densely and W, D as polynomials
+(``graded_ranks``): W is red(d^(q-1)) (polyf2.fermat_power), and rank(1 + W)
+must equal the dense rank of H; D is W substituted (polyf2.substitute), so
+rank_D = rank_W by construction, and substitution_ok checks that the block
+rank sees it.  The polynomial ranks take one weight class per orbit of
+w -> 2w and w -> -w on Z/(q - 1), times the orbit size.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .carryfree import count_nm, nm_growth_bound_holds
 from .errors import BudgetError, ParameterError, PropertyViolation
 from .field import GF2m
 from .graphs import DEFAULT_GRAPH_BUDGET_BITS, CayleyGraph, FamilyParams, exponent_r_plus
-from .polyf2 import SparsePoly, fermat_power, poly_rank, substitute
+from .polyf2 import SparsePoly, fermat_power, graded_part, poly_rank, substitute
 
 
 def _zero_set(params: FamilyParams, field: GF2m, relabel: bool) -> BitMatrix:
@@ -127,18 +129,81 @@ class CodeReport:
         }
 
 
+def _orbit_parts(period: int) -> list[tuple[int, np.ndarray]]:
+    """The classes mod period = q - 1 that graded_ranks ranks, as (multiplier, keep) parts.
+
+    Each part holds orbits of w -> 2w and w -> -w on Z/period, by their least
+    classes, and keep is its bool table over the classes: class 0 alone,
+    class 1 alone (the self-check compares class 2 with it), then the other
+    least classes grouped by orbit size, the multiplier of their part.
+    """
+    sizes: dict[int, int] = {}  # least class -> orbit size
+    seen = np.zeros(period, dtype=bool)
+    for w in range(period):
+        if seen[w]:
+            continue
+        coset, x = [w], 2 * w % period  # 2 is a unit mod the odd period
+        while x != w:
+            coset.append(x)
+            x = 2 * x % period
+        orbit = set(coset) | {-x % period for x in coset}
+        seen[list(orbit)] = True
+        sizes[w] = len(orbit)
+    groups: dict[int, list[int]] = {}
+    for w, size in sizes.items():
+        if w > 1:
+            groups.setdefault(size, []).append(w)
+    alone = [(1, [0])] + ([(sizes[1], [1])] if period > 1 else [])
+    parts = []
+    for size, classes in alone + sorted(groups.items()):
+        keep = np.zeros(period, dtype=bool)
+        keep[classes] = True
+        parts.append((size, keep))
+    return parts
+
+
+def graded_ranks(n: int, m: int) -> tuple[int, int, int]:
+    """rank(1 + W), rank(W) and rank(D) of the member (n, m), ranking one class per orbit.
+
+    W is red(d^(q-1)) (polyf2.fermat_power) and D is W substituted
+    (polyf2.substitute).  With x1, y1 of weight 1 and x2, y2 of weight n, a
+    row (e_x1, e_x2) has class w = e_x1 + n e_x2 mod q - 1, and every
+    monomial of W has weight 0 mod q - 1, so the rows of class w meet only
+    the columns of class -w and the rank is the sum over the classes
+    (polyf2.graded_part).  W is its own transpose, as d is symmetric under
+    (x1, x2) <-> (y1, y2), which takes class w to class -w; and W is its own
+    square, a 0/1 function, which takes class w to class 2w.  Substitution
+    keeps each class and both symmetries, and 1 + W differs from W in class
+    0 only.  So the rank is the sum over the orbits of w -> 2w and w -> -w
+    of the orbit size times the rank of its least class.  For m >= 2 class 2
+    of W is ranked as well, and a rank other than that of class 1 raises
+    PropertyViolation.
+    """
+    period = (1 << m) - 1
+    sizes, keeps = zip(*_orbit_parts(period))
+    w = fermat_power(n, m, m)
+    parts = [graded_part(w, n, keep, period) for keep in keeps]
+    two = graded_part(w, n, np.arange(period) == 2 % period, period) if period > 1 else None
+    del w
+    ranks_w = [poly_rank(p) for p in parts]
+    if two is not None and (rank_2 := poly_rank(two)) != ranks_w[1]:
+        raise PropertyViolation(f"n={n} m={m}: class 2 of W has rank {rank_2}, class 1 {ranks_w[1]}")
+    rank_w = sum(size * rank for size, rank in zip(sizes, ranks_w))
+    rank_h = rank_w - ranks_w[0] + poly_rank(parts[0] + SparsePoly.one())
+    rank_d = sum(size * poly_rank(substitute(p, n, m)) for size, p in zip(sizes, parts))
+    return rank_h, rank_w, rank_d
+
+
 def code_report(params: FamilyParams, field: GF2m | None = None) -> CodeReport:
-    """Ranks of H (dense, first, cross-checked), W and D (polynomial) plus the bounds."""
+    """Ranks of H (dense, first, cross-checked), W and D (graded_ranks) plus the bounds."""
     if field is None:
         field = GF2m(params.m)
     h = coset_matrix(params, field)
     rank_h = h.rank()
     n, m = params.n, params.m
-    w = fermat_power(n, m, m)
-    rank_w = poly_rank(w)
-    if (poly_rank_h := poly_rank(w + SparsePoly.one())) != rank_h:
+    poly_rank_h, rank_w, rank_d = graded_ranks(n, m)
+    if poly_rank_h != rank_h:
         raise PropertyViolation(f"n={n} m={m}: dense rank(H)={rank_h}, polynomial {poly_rank_h}")
-    rank_d = poly_rank(substitute(w, n, m))
     size = h.rows
     dimension = size - rank_h
     r = exponent_r_plus(n)

@@ -329,6 +329,20 @@ def test_certify_full_run_for_n7(capsys):
     assert doc["trace"][-1] == {"t": 6, "rank": 3256, "threshold": 4096}
 
 
+def test_certify_exits_4_when_the_halves_disagree(capsys, monkeypatch):
+    ranks, rank = [], polyf2.poly_rank  # the low half is ranked first, then the high half, at each t
+
+    def skewed(p):
+        ranks.append(rank(p))
+        return ranks[-1] + (len(ranks) % 2 == 0)
+
+    monkeypatch.setattr(polyf2, "poly_rank", skewed)
+    code, out, err = run_cli(capsys, "certify", "--n", "7", "--t-max", "6")
+    assert (code, out) == (4, "")
+    assert err.startswith("property violation:")
+    assert len(ranks) == 2
+
+
 def test_certify_long_runs_need_extended_flag(capsys):
     code, _, err = run_cli(capsys, "certify", "--n", "11", "--t-max", "7")
     assert code == 3

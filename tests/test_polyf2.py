@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from storagecodes import polyf2
-from storagecodes.errors import BudgetError, ParameterError
+from storagecodes.errors import BudgetError, ParameterError, PropertyViolation
 from storagecodes.field import GF2m
 from storagecodes.graphs import FamilyParams
 from storagecodes.polyf2 import (
@@ -152,6 +152,76 @@ def test_reduced_fermat_power_and_its_substitution_equal_the_product_route(membe
     got = fermat_power(n, m, m)
     assert got == w
     assert substitute(got, n, m) == d
+
+
+def weights(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row weights e_x1 + n e_x2 and column weights e_y1 + n e_y2, as Python-int object arrays."""
+    x1, x2, y1, y2 = ((codes >> np.uint64(sh)) & np.uint64(polyf2.EXP_MAX) for sh in (48, 32, 16, 0))
+    return x1.astype(object) + n * x2.astype(object), y1.astype(object) + n * y2.astype(object)
+
+
+def swap_halves(codes: np.ndarray) -> np.ndarray:
+    """The codes with rows and columns exchanged, (x1, x2) <-> (y1, y2), sorted."""
+    return np.sort(codes << np.uint64(32) | codes >> np.uint64(32))
+
+
+odd_exponents = st.integers(0, 15).map(lambda k: 2 * k + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(odd_exponents, st.integers(1, 6))
+def test_certificate_powers_are_their_own_transposes_of_one_weight(n, t):
+    # the premises of the halved rank: the swap maps the code set onto itself,
+    # and row weight plus column weight is n (2^t - 1) in every entry
+    codes = fermat_power(n, t)._codes
+    assert np.array_equal(swap_halves(codes), codes)
+    rows, cols = weights(codes, n)
+    assert (rows + cols == n * ((1 << t) - 1)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(reduced_members() | st.tuples(st.just(2 ** 70 + 1), st.integers(1, 7)))
+@example((2 ** 70 + 1, 7))
+def test_reduced_powers_are_their_own_transposes(member):
+    n, m = member
+    codes = fermat_power(n, m, m)._codes
+    assert np.array_equal(swap_halves(codes), codes)
+    rows, cols = weights(codes, n)
+    assert ((rows + cols) % ((1 << m) - 1) == 0).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 31).map(lambda k: 2 * k + 1), st.integers(1, 6))
+def test_halved_certificate_rank_equals_the_full_rank(n, t):
+    assert polyf2._certificate_rank(n, t) == poly_rank(fermat_power(n, t))
+
+
+def test_graded_part_keeps_the_rows_of_the_chosen_weights():
+    p = fermat_power(5, 3)  # row weights 0..35
+    rows, _ = weights(p._codes, 5)
+    keep = np.arange(36) % 3 == 1
+    assert np.array_equal(polyf2.graded_part(p, 5, keep)._codes, p._codes[keep[rows.astype(np.int64)]])
+    mod7 = np.zeros(7, dtype=bool)
+    mod7[[2, 5]] = True
+    got = polyf2.graded_part(p, 5, mod7, 7)._codes
+    assert np.array_equal(got, p._codes[np.isin(rows % 7, [2, 5])])
+
+
+def test_certify_raises_when_the_halves_disagree(monkeypatch):
+    def skewed(p):  # one more for the rows of d = (x1+y1)^7 + x2 + y2 of weight above 7/2
+        return poly_rank(p) + any(2 * (e.x1 + 7 * e.x2) > 7 for e in p.monomials())
+
+    monkeypatch.setattr(polyf2, "poly_rank", skewed)
+    with pytest.raises(PropertyViolation, match="rows of weight below 7/2 have rank 4, those above 5"):
+        certify_unit_rate(7, t_max=1)
+
+
+def test_certify_ranks_both_halves_only_up_to_the_check_limit(monkeypatch):
+    calls = []
+    monkeypatch.setattr(polyf2, "poly_rank", lambda p: calls.append(p) or poly_rank(p))
+    monkeypatch.setattr(polyf2, "HALF_CHECK_T_MAX", 2)
+    assert certify_unit_rate(7, t_max=3).trace == ((1, 8, 4), (2, 24, 16), (3, 64, 64))
+    assert len(calls) == 5  # low and high half at t = 1 and 2, the low half alone at t = 3
 
 
 @pytest.mark.parametrize("n", [3, 5, 2 ** 70 + 1])
@@ -609,8 +679,8 @@ def test_certify_trace_regression_n11_n13(n, ranks):
 
 @pytest.mark.extended
 def test_certify_trace_n19_to_t10():
-    # past the benchmark's sizes: about 20 s and 0.4 GB peak RSS on a 2-core host;
-    # the t = 10 power and its matrix hold 9.86M entries
+    # past the benchmark's sizes: about 9-10 s and 0.23 GB peak RSS on a 2-core
+    # host; the t = 10 power holds 9.86M entries, and the half that is ranked 4.93M
     ranks = (8, 34, 170, 620, 2000, 6896, 23890, 85350, 302074, 1093896)
     res = certify_unit_rate(19, t_max=10)
     assert res.trace == tuple((t, rank, 4 ** t) for t, rank in enumerate(ranks, start=1))
@@ -630,6 +700,20 @@ def test_product_of_the_n13_t7_power_reduces_its_pairs_in_place():
         tracemalloc.stop()
     assert (len(acc) * len(f), len(product)) == (197120, 84192)
     assert peak <= 2_500_000
+
+
+def test_certify_n13_ranks_half_of_each_power():
+    # the t = 7 power has 84192 entries; its halves hold 42096 each, and the
+    # full power is dropped before any rank.  The whole rank peaked at 3.12 MB;
+    # halved, the run peaks at 1.90 MB, and the cap sits 15% above that
+    tracemalloc.start()
+    try:
+        res = certify_unit_rate(13, t_max=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.trace[-1] == (7, 14442, 16384)
+    assert peak <= 2_200_000
 
 
 def test_block_rank_of_the_n13_t7_power_holds_int32_labels():

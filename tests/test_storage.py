@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from storagecodes import storage
 from storagecodes.carryfree import count_nm
@@ -10,11 +11,12 @@ from storagecodes.errors import BudgetError, ParameterError, PropertyViolation
 from storagecodes.field import GF2m
 from storagecodes.bitmatrix import BitMatrix
 from storagecodes.graphs import FamilyParams, build_graph
-from storagecodes.polyf2 import SparsePoly, eval_matrix, poly_rank
+from storagecodes.polyf2 import SparsePoly, eval_matrix, fermat_power, poly_rank, substitute
 from storagecodes.storage import (
     code_report,
     coset_matrix,
     d_matrix,
+    graded_ranks,
     sample_codewords,
     verify_repair,
     w_matrix,
@@ -145,8 +147,12 @@ def fermat_indicator(delta: SparsePoly, m: int) -> SparsePoly:
     return reduce_mod(mersenne_power(delta, m), m)
 
 
-@pytest.mark.parametrize("m", range(1, 6))
-@pytest.mark.parametrize("n", [3, 5, 7, 9])
+@pytest.mark.parametrize("n, m", [
+    *((n, m) for n in (3, 5, 7, 9) for m in range(1, 6)),
+    # orbit edge cases beside m = 1 (Z/1) and n = 7 at m = 3: n = 0 mod q - 1
+    (15, 4),
+    (31, 5),
+])
 def test_polynomial_ranks_equal_dense_ranks(n, m):
     f = GF2m(m)
     params = FamilyParams(n, m)
@@ -203,6 +209,47 @@ def test_code_report_raises_when_the_routes_disagree(monkeypatch):
     monkeypatch.setattr(storage, "poly_rank", lambda p: poly_rank(p) + 1)
     with pytest.raises(PropertyViolation, match="dense rank"):
         code_report(FamilyParams(3, 2))
+
+
+def test_code_report_raises_when_a_class_and_its_double_disagree(monkeypatch):
+    def skewed(p):  # one more for class 2 of the member (3, 3) alone
+        return poly_rank(p) + ({(e.x1 + 3 * e.x2) % 7 for e in p.monomials()} == {2})
+
+    monkeypatch.setattr(storage, "poly_rank", skewed)
+    with pytest.raises(PropertyViolation, match="class 2 of W has rank"):
+        code_report(FamilyParams(3, 3))
+
+
+@st.composite
+def odd_members(draw):
+    """(n, m), m <= 7, n a random odd exponent or q - 1, q + 1, 2q - 1 or 2^70 + 1."""
+    m = draw(st.integers(1, 7))
+    q = 1 << m
+    specials = st.sampled_from([q - 1, q + 1, 2 * q - 1, 2 ** 70 + 1])
+    n = draw(st.integers(0, 200).map(lambda k: 2 * k + 1) | specials)
+    return n, m
+
+
+def full_ranks(n: int, m: int) -> tuple[int, int, int]:
+    """rank(1 + W), rank(W) and rank(D), each the block rank of the whole polynomial."""
+    w = fermat_power(n, m, m)
+    return poly_rank(w + SparsePoly.one()), poly_rank(w), poly_rank(substitute(w, n, m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(odd_members())
+@example((3, 7))
+@example((63, 6))
+def test_orbit_ranks_equal_the_full_ranks(member):
+    n, m = member
+    assert graded_ranks(n, m) == full_ranks(n, m)
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("m", [8, 9])
+@pytest.mark.parametrize("n", [3, 5, 7, 129, 255, 257, 301])
+def test_orbit_ranks_equal_the_full_ranks_past_the_dense_budget(n, m):
+    assert graded_ranks(n, m) == full_ranks(n, m)
 
 
 def test_code_report_values():
