@@ -13,8 +13,9 @@ cancels.  ``fermat_power`` writes that closed form down directly, one
 monomial per choice and per submask of the binomial's exponent (Lucas).
 d is symmetric under (x1, x2) <-> (y1, y2), so the matrix is its own
 transpose, and each t is ranked as twice the rank of the rows below half
-the total weight, block by block; up to t = 7 the other half is ranked too
-and must agree.
+the total weight, block by block.  ``fermat_power`` writes those rows
+alone, never the whole power; up to t = 7 the other half is then written
+and ranked too, and must agree.
 """
 
 import time

@@ -25,11 +25,12 @@ blocks and eliminates the blocks of one rounded shape in lockstep.
 Give x1 and y1 weight 1 and x2 and y2 weight n.  Every monomial of a power
 of d has one total weight, and reduction mod x^q - x keeps it mod q - 1, so
 no block of the coefficient matrix crosses two row weights (two classes mod
-q - 1); ``graded_part`` keeps the rows of chosen weights.  d is symmetric
-under (x1, x2) <-> (y1, y2), so both matrices equal their own transposes,
-and only a part of the weights has to be ranked: ``certify_unit_rate`` ranks
-the rows below half the total weight and doubles the rank, and
-``storage.graded_ranks`` ranks one class per orbit of doubling and negation.
+q - 1).  d is symmetric under (x1, x2) <-> (y1, y2), so both matrices equal
+their own transposes, and only a part of the weights has to be ranked:
+``certify_unit_rate`` ranks the rows below half the total weight and
+doubles the rank, and ``storage.graded_ranks`` ranks one class per orbit of
+doubling and negation.  ``fermat_power`` writes the rows of those weights
+alone (its keep table), so no route lists the rest of the power.
 ``poly_rank`` of the whole polynomial stays as the general rank and the
 reference the tests hold both against.
 """
@@ -59,7 +60,7 @@ DEFAULT_T_MAX = 8
 HALF_CHECK_T_MAX = 7
 
 _EVAL_LOOKUPS = 1 << 31  # cap on the table lookups of one eval_matrix
-_RUN_CHUNK = 1 << 14  # codes per pass of the scans in _xor_reduce and graded_part
+_RUN_CHUNK = 1 << 14  # codes per pass of the run scan in _xor_reduce
 
 
 class Monomial(NamedTuple):
@@ -183,14 +184,15 @@ def frobenius(p: SparsePoly, i: int) -> SparsePoly:
 
 def _submasks(mask: int) -> np.ndarray:
     """The submasks of mask in increasing order, as uint64: by Lucas, the j with C(mask, j) odd."""
-    out = np.zeros(1, dtype=np.uint64)
-    for i in range(mask.bit_length()):
-        if (mask >> i) & 1:
-            out = np.concatenate([out, out + (1 << i)])
+    out, size = np.zeros(1 << mask.bit_count(), dtype=np.uint64), 1
+    while mask:
+        low = mask & -mask  # each set bit, lowest first, doubles the list in place
+        np.add(out[:size], low, out=out[size : 2 * size])
+        mask, size = mask ^ low, 2 * size
     return out
 
 
-def fermat_power(n: int, t: int, m: int | None = None) -> SparsePoly:
+def fermat_power(n: int, t: int, m: int | None = None, keep: np.ndarray | None = None) -> SparsePoly:
     """d^(2^t - 1), d = (x1+y1)^n + x2 + y2, reduced mod x^q - x (q = 2^m, t <= m) if m is given.
 
     2^t - 1 has all t bits set, so the power is the product of the copies
@@ -199,7 +201,14 @@ def fermat_power(n: int, t: int, m: int | None = None) -> SparsePoly:
     and by Lucas (x1+y1)^N is the sum of x1^j y1^(N - j) over the submasks j
     of N.  The (x2, y2) exponents tell the terms apart, so nothing cancels.
     N(r) = n r, or with m given ((n r - 1) mod (q - 1)) + 1 (0 at r = 0), its
-    exponent on GF(q).  The size is checked before one array is filled.
+    exponent on GF(q).  The size of the whole power is checked before one
+    array is filled.
+
+    keep, a bool table over row weights (all of them if None), selects rows:
+    only the (j, b) with keep[w] set are written, w = j + n b, or
+    (j + (n mod (q - 1)) b) mod (q - 1) when reducing.  The blocks r are
+    generated twice: to count the kept codes, then to fill an array of
+    exactly that size.
     """
     if n < 1 or n % 2 == 0:
         raise ParameterError(f"n={n}: need an odd integer >= 1")
@@ -216,13 +225,23 @@ def fermat_power(n: int, t: int, m: int | None = None) -> SparsePoly:
     size = sum(1 << (e.bit_count() + t - r.bit_count()) for r, e in enumerate(exps))
     if size > PAIR_BUDGET:
         raise BudgetError(f"d^{full} has {size} monomials, over budget {PAIR_BUDGET}")
-    codes, pos = np.empty(size, dtype=np.uint64), 0
-    for r, e in enumerate(exps):
-        j, b = _submasks(e), _submasks(full ^ r)
-        block = codes[pos : pos + j.size * b.size].reshape(j.size, b.size)
-        binomial = j << 48 | (e - j) << 16  # x1^j y1^(e - j)
-        np.bitwise_or(binomial[:, None], (b << 32 | (full ^ r) - b)[None, :], out=block)
-        pos += block.size
+    # row weight j + (n b mod period); unreduced n b <= top, so period = top + 1 leaves it whole
+    weigh, period = np.uint64(n if m is None else n % top), np.uint64(top + 1 if m is None else top)
+    keep = np.ones(top + 1, dtype=bool) if keep is None else keep
+    if m is not None:  # j + (n b mod (q - 1)) < 2 (q - 1): keep is read twice over
+        keep = np.concatenate([keep, keep])
+
+    def blocks():  # per r: e = N(r), the submasks j of e and b of full ^ r, and keep[w] of each (j, b)
+        for r, e in enumerate(exps):
+            j, b = _submasks(e), _submasks(full ^ r)
+            yield r, e, j, b, keep[j[:, None] + b * weigh % period]
+
+    codes, pos = np.empty(sum(np.count_nonzero(kept) for *_, kept in blocks()), dtype=np.uint64), 0
+    for r, e, j, b, kept in blocks():  # x1^j y1^(e - j) x2^b y2^(full ^ r - b), compressed to the kept (j, b)
+        block = (j << 48 | (e - j) << 16)[:, None] | (b << 32 | (full ^ r) - b)
+        count = np.count_nonzero(kept)
+        np.compress(kept.ravel(), block, out=codes[pos : pos + count])
+        pos += count
     codes.sort()
     return SparsePoly(codes)
 
@@ -252,30 +271,6 @@ def coeff_matrix(p: SparsePoly) -> SparseBitMatrix:
 def poly_rank(p: SparsePoly) -> int:
     """GF(2) rank of the coefficient matrix, ranked block by block."""
     return coeff_matrix(p).rank()
-
-
-def graded_part(p: SparsePoly, n: int, keep: np.ndarray, period: int | None = None) -> SparsePoly:
-    """The monomials of p whose row weight w has keep[w] set.
-
-    Row (e_x1, e_x2) has weight w = e_x1 + n e_x2, or its residue mod period
-    if one is given; keep must cover every weight that occurs.  The weights
-    are worked out _RUN_CHUNK codes at a time into a byte per code, so beside
-    the codes only that mask and the kept copy grow with p.
-    """
-    codes = p._codes
-    if period is not None:
-        n %= period  # Python ints keep any n exact
-    mask = np.empty(codes.size, dtype=bool)
-    for lo in range(0, codes.size, _RUN_CHUNK):
-        row = codes[lo : lo + _RUN_CHUNK] >> np.uint64(32)
-        w = row >> np.uint64(EXP_BITS)
-        row &= np.uint64(EXP_MAX)
-        row *= np.uint64(n)
-        w += row
-        if period is not None:
-            w %= np.uint64(period)
-        mask[lo : lo + _RUN_CHUNK] = keep[w]
-    return SparsePoly(codes[mask])
 
 
 def eval_matrix(p: SparsePoly, field: GF2m) -> FieldMatrix:
@@ -350,17 +345,15 @@ def _certificate_rank(n: int, t: int) -> int:
     its power is its own transpose.  Every monomial has weight T (x1, y1
     weigh 1, x2, y2 weigh n), so the rows of weight w meet only the columns
     of weight T - w, and they are the transpose of the rows of weight T - w.
-    T is odd, so no weight pairs with itself.  Up to HALF_CHECK_T_MAX the rows
-    above T/2 are ranked as well, and a different rank raises
+    T is odd, so no weight pairs with itself.  Only the low half is
+    generated and ranked; up to HALF_CHECK_T_MAX the rows above T/2 are then
+    generated and ranked as well, and a different rank raises
     PropertyViolation.
     """
-    p = fermat_power(n, t)
     total = n * ((1 << t) - 1)
     low = 2 * np.arange(total + 1) < total
-    high = graded_part(p, n, ~low) if t <= HALF_CHECK_T_MAX else None
-    p = graded_part(p, n, low)  # the whole power is dropped before any rank
-    rank = poly_rank(p)
-    if high is not None and (high_rank := poly_rank(high)) != rank:
+    rank = poly_rank(fermat_power(n, t, keep=low))
+    if t <= HALF_CHECK_T_MAX and (high_rank := poly_rank(fermat_power(n, t, keep=~low))) != rank:
         raise PropertyViolation(
             f"n={n} t={t}: the rows of weight below {total}/2 have rank {rank}, those above {high_rank}"
         )

@@ -19,7 +19,8 @@ allocating.  ``code_report`` ranks H densely and W, D as polynomials
 must equal the dense rank of H; D is W substituted (polyf2.substitute), so
 rank_D = rank_W by construction, and substitution_ok checks that the block
 rank sees it.  The polynomial ranks take one weight class per orbit of
-w -> 2w and w -> -w on Z/(q - 1), times the orbit size.
+w -> 2w and w -> -w on Z/(q - 1), times the orbit size, and only those
+classes are ever generated.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .carryfree import count_nm, nm_growth_bound_holds
 from .errors import BudgetError, ParameterError, PropertyViolation
 from .field import GF2m
 from .graphs import DEFAULT_GRAPH_BUDGET_BITS, CayleyGraph, FamilyParams, exponent_r_plus
-from .polyf2 import SparsePoly, fermat_power, graded_part, poly_rank, substitute
+from .polyf2 import SparsePoly, fermat_power, poly_rank, substitute
 
 
 def _zero_set(params: FamilyParams, field: GF2m, relabel: bool) -> BitMatrix:
@@ -169,24 +170,22 @@ def graded_ranks(n: int, m: int) -> tuple[int, int, int]:
     (polyf2.substitute).  With x1, y1 of weight 1 and x2, y2 of weight n, a
     row (e_x1, e_x2) has class w = e_x1 + n e_x2 mod q - 1, and every
     monomial of W has weight 0 mod q - 1, so the rows of class w meet only
-    the columns of class -w and the rank is the sum over the classes
-    (polyf2.graded_part).  W is its own transpose, as d is symmetric under
-    (x1, x2) <-> (y1, y2), which takes class w to class -w; and W is its own
-    square, a 0/1 function, which takes class w to class 2w.  Substitution
-    keeps each class and both symmetries, and 1 + W differs from W in class
-    0 only.  So the rank is the sum over the orbits of w -> 2w and w -> -w
-    of the orbit size times the rank of its least class.  For m >= 2 class 2
+    the columns of class -w and the rank is the sum over the classes.  W is
+    its own transpose, as d is symmetric under (x1, x2) <-> (y1, y2), which
+    takes class w to class -w; and W is its own square, a 0/1 function,
+    which takes class w to class 2w.  Substitution keeps each class and both
+    symmetries, and 1 + W differs from W in class 0 only.  So the rank is the
+    sum over the orbits of w -> 2w and w -> -w of the orbit size times the
+    rank of its least class.  fermat_power writes each part's classes alone
+    (its keep table), so the whole of W is never listed.  For m >= 2 class 2
     of W is ranked as well, and a rank other than that of class 1 raises
     PropertyViolation.
     """
     period = (1 << m) - 1
     sizes, keeps = zip(*_orbit_parts(period))
-    w = fermat_power(n, m, m)
-    parts = [graded_part(w, n, keep, period) for keep in keeps]
-    two = graded_part(w, n, np.arange(period) == 2 % period, period) if period > 1 else None
-    del w
+    parts = [fermat_power(n, m, m, keep) for keep in keeps]
     ranks_w = [poly_rank(p) for p in parts]
-    if two is not None and (rank_2 := poly_rank(two)) != ranks_w[1]:
+    if period > 1 and (rank_2 := poly_rank(fermat_power(n, m, m, np.arange(period) == 2))) != ranks_w[1]:
         raise PropertyViolation(f"n={n} m={m}: class 2 of W has rank {rank_2}, class 1 {ranks_w[1]}")
     rank_w = sum(size * rank for size, rank in zip(sizes, ranks_w))
     rank_h = rank_w - ranks_w[0] + poly_rank(parts[0] + SparsePoly.one())

@@ -152,6 +152,21 @@ def xor_reduce_by_counts(codes: np.ndarray) -> np.ndarray:
     return vals[(counts & 1) == 1]
 
 
+def graded_part(p: SparsePoly, n: int, keep, period: int | None = None) -> SparsePoly:
+    """The monomials of p whose row weight e_x1 + n e_x2, mod period if given, has keep set.
+
+    The weights are Python ints, so any n is exact, and every code is read
+    and tested on its own.
+    """
+    codes = p._codes
+    x1 = (codes >> np.uint64(48)).astype(object)
+    x2 = (codes >> np.uint64(32) & np.uint64(polyf2.EXP_MAX)).astype(object)
+    rows = x1 + n * x2
+    if period is not None:
+        rows %= period
+    return SparsePoly(codes[np.array([bool(keep[w]) for w in rows], dtype=bool)])
+
+
 def d_by_binomials(n: int, extra=()) -> SparsePoly:
     """(x1 + y1)^n + x2 + y2 plus the monomials in extra, from binomial parities by factorials."""
     mons = [(i, 0, n - i, 0) for i in range(n + 1) if math.comb(n, i) % 2]

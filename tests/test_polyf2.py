@@ -27,6 +27,7 @@ from storagecodes.storage import code_report, coset_matrix, d_matrix, w_matrix
 from oracles import (
     d_by_binomials,
     fermat_indicators,
+    graded_part,
     mersenne_power,
     mersenne_powers,
     poly_mul_by_dict,
@@ -105,16 +106,21 @@ def test_fermat_power_rejects_exponents_past_the_packing_cap_before_listing_term
 
 
 def test_fermat_power_refuses_a_size_over_the_cap_before_allocating(monkeypatch):
-    # d^(2^5 - 1) for n = 7 has 3792 monomials, d^15 has 832
+    # d^(2^5 - 1) for n = 7 has 3792 monomials, d^15 has 832; the cap counts
+    # the whole power, whatever keep leaves of it
     monkeypatch.setattr(polyf2, "PAIR_BUDGET", 1000)
     assert len(fermat_power(7, 4)) == 832
+    none = fermat_power(7, 4, keep=np.zeros(7 * 15 + 1, dtype=bool))
+    assert none == SparsePoly.zero() and poly_rank(none) == 0
+    assert fermat_power(7, 3, 3, np.zeros(7, dtype=bool)) == SparsePoly.zero()
 
     def refuse(*args, **kwargs):
         raise AssertionError("fermat_power allocated its codes")
 
     monkeypatch.setattr(np, "empty", refuse)
-    with pytest.raises(BudgetError, match="3792 monomials, over budget 1000"):
-        fermat_power(7, 5)
+    for keep in (None, np.zeros(7 * 31 + 1, dtype=bool)):
+        with pytest.raises(BudgetError, match="3792 monomials, over budget 1000"):
+            fermat_power(7, 5, keep=keep)
 
 
 def test_certify_stops_at_the_first_power_over_the_size_cap(monkeypatch):
@@ -196,15 +202,30 @@ def test_halved_certificate_rank_equals_the_full_rank(n, t):
     assert polyf2._certificate_rank(n, t) == poly_rank(fermat_power(n, t))
 
 
-def test_graded_part_keeps_the_rows_of_the_chosen_weights():
-    p = fermat_power(5, 3)  # row weights 0..35
-    rows, _ = weights(p._codes, 5)
-    keep = np.arange(36) % 3 == 1
-    assert np.array_equal(polyf2.graded_part(p, 5, keep)._codes, p._codes[keep[rows.astype(np.int64)]])
-    mod7 = np.zeros(7, dtype=bool)
-    mod7[[2, 5]] = True
-    got = polyf2.graded_part(p, 5, mod7, 7)._codes
-    assert np.array_equal(got, p._codes[np.isin(rows % 7, [2, 5])])
+seeds = st.integers(0, 2 ** 32 - 1)
+shares = st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0])
+
+
+def keep_table(size: int, seed: int, share: float) -> np.ndarray:
+    """A random bool table of the given length with about the given share set."""
+    return np.random.default_rng(seed).random(size) < share
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 15).map(lambda k: 2 * k + 1), st.integers(1, 6), seeds, shares)
+def test_fermat_power_writes_the_rows_of_the_kept_weights(n, t, seed, share):
+    keep = keep_table(n * ((1 << t) - 1) + 1, seed, share)
+    assert fermat_power(n, t, keep=keep) == graded_part(fermat_power(n, t), n, keep)
+
+
+@settings(max_examples=40, deadline=None)
+@given(reduced_members() | st.tuples(st.just(2 ** 70 + 1), st.integers(1, 7)), seeds, shares)
+@example((2 ** 70 + 1, 7), 1, 0.5)
+def test_reduced_fermat_power_writes_the_rows_of_the_kept_classes(member, seed, share):
+    n, m = member
+    period = (1 << m) - 1
+    keep = keep_table(period, seed, share)
+    assert fermat_power(n, m, m, keep) == graded_part(fermat_power(n, m, m), n, keep, period)
 
 
 def test_certify_raises_when_the_halves_disagree(monkeypatch):
@@ -231,6 +252,21 @@ def test_substitution_evaluates_to_the_d_matrix(n):
         f = GF2m(m)
         d = substitute(fermat_power(n, m, m), n, m)
         assert np.array_equal(eval_matrix(d, f).values, d_matrix(FamilyParams(n, m), f).to_dense())
+
+
+def test_low_half_of_the_n13_t7_certificate_is_written_alone():
+    # the 42096 kept codes take 0.34 MB; concatenating every block's kept rows
+    # would hold them twice, while counting them first and then filling one
+    # array peaks at 0.42 MB
+    low = 2 * np.arange(13 * 127 + 1) < 13 * 127
+    tracemalloc.start()
+    try:
+        half = fermat_power(13, 7, keep=low)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(half) == 42096
+    assert peak <= 500_000
 
 
 def test_fermat_power_of_the_n13_t7_certificate_fills_one_array():
@@ -703,9 +739,10 @@ def test_product_of_the_n13_t7_power_reduces_its_pairs_in_place():
 
 
 def test_certify_n13_ranks_half_of_each_power():
-    # the t = 7 power has 84192 entries; its halves hold 42096 each, and the
-    # full power is dropped before any rank.  The whole rank peaked at 3.12 MB;
-    # halved, the run peaks at 1.90 MB, and the cap sits 15% above that
+    # the t = 7 power has 84192 entries; its halves hold 42096 each, and only
+    # one half is written at a time.  The whole rank peaked at 3.12 MB, and the
+    # halves filtered from the whole power at 1.90 MB; written alone, the run
+    # peaks at 1.56 MB, and the cap sits 12% above that
     tracemalloc.start()
     try:
         res = certify_unit_rate(13, t_max=7)
@@ -713,7 +750,7 @@ def test_certify_n13_ranks_half_of_each_power():
     finally:
         tracemalloc.stop()
     assert res.trace[-1] == (7, 14442, 16384)
-    assert peak <= 2_200_000
+    assert peak <= 1_750_000
 
 
 def test_block_rank_of_the_n13_t7_power_holds_int32_labels():
