@@ -38,7 +38,8 @@ for n in (3, 5, 7):
     print()
 
 print("n = 7 needs the full t = 6 expansion (about 16k monomials; the")
-print("coefficient matrix is ~6.4k square, ranked in blocks of at most 46")
-print("rows, half of its rows at a time) and certifies with rank 3256 = 2 * 1628")
-print("against the threshold 4096.  The n = 11 and n = 13 runs take under a")
-print("second; the certify subcommand keeps --extended as a guard for them.")
+print("coefficient matrix is ~6.4k square, split into 582 blocks of at most")
+print("64 rows or columns, and ranked half of its rows at a time) and")
+print("certifies with rank 3256 = 2 * 1628 against the threshold 4096.  The")
+print("n = 11 and n = 13 runs take under a second; the certify subcommand")
+print("keeps --extended as a guard for them.")

@@ -29,8 +29,9 @@ q - 1).  d is symmetric under (x1, x2) <-> (y1, y2), so both matrices equal
 their own transposes, and only a part of the weights has to be ranked:
 ``certify_unit_rate`` ranks the rows below half the total weight and
 doubles the rank, and ``storage.graded_ranks`` ranks one class per orbit of
-doubling and negation.  ``fermat_power`` writes the rows of those weights
-alone (its keep table), so no route lists the rest of the power.
+doubling and negation.  ``fermat_power`` takes keep tables over the row
+weights and writes one part per table, the rows of its weights alone, from
+one generation of the blocks, so no route lists the rest of the power.
 ``poly_rank`` of the whole polynomial stays as the general rank and the
 reference the tests hold both against.
 """
@@ -38,7 +39,7 @@ reference the tests hold both against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -192,7 +193,9 @@ def _submasks(mask: int) -> np.ndarray:
     return out
 
 
-def fermat_power(n: int, t: int, m: int | None = None, keep: np.ndarray | None = None) -> SparsePoly:
+def fermat_power(
+    n: int, t: int, m: int | None = None, keep: Sequence[np.ndarray] | None = None
+) -> SparsePoly | list[SparsePoly]:
     """d^(2^t - 1), d = (x1+y1)^n + x2 + y2, reduced mod x^q - x (q = 2^m, t <= m) if m is given.
 
     2^t - 1 has all t bits set, so the power is the product of the copies
@@ -204,11 +207,14 @@ def fermat_power(n: int, t: int, m: int | None = None, keep: np.ndarray | None =
     exponent on GF(q).  The size of the whole power is checked before one
     array is filled.
 
-    keep, a bool table over row weights (all of them if None), selects rows:
-    only the (j, b) with keep[w] set are written, w = j + n b, or
-    (j + (n mod (q - 1)) b) mod (q - 1) when reducing.  The blocks r are
-    generated twice: to count the kept codes, then to fill an array of
-    exactly that size.
+    keep, a sequence of bool tables over row weights, makes one part per
+    table, in order: the rows (j, b) whose weight w has the table set, w =
+    j + n b (n (2^t - 1) + 1 entries), or (j + (n mod (q - 1)) b) mod (q - 1)
+    when reducing (q - 1 entries).  A table of another length raises
+    ParameterError before any block is listed.  The blocks r are generated
+    twice, however many tables there are: to count each part's codes, then to
+    fill one array of exactly that size per part.  Without keep the whole
+    power is returned, as one SparsePoly.
     """
     if n < 1 or n % 2 == 0:
         raise ParameterError(f"n={n}: need an odd integer >= 1")
@@ -218,6 +224,10 @@ def fermat_power(n: int, t: int, m: int | None = None, keep: np.ndarray | None =
     top = n * full if m is None else (1 << m) - 1
     if top > EXP_MAX:  # before anything is listed
         raise BudgetError(f"exponent {top} outside 0..{EXP_MAX}")
+    # row weight j + (n b mod period); unreduced n b <= top, so period = top + 1 leaves it whole
+    weigh, period = np.uint64(n if m is None else n % top), np.uint64(top + 1 if m is None else top)
+    if keep is not None and any(len(table) != period for table in keep):
+        raise ParameterError(f"a keep table needs {period} entries, one per row weight")
     if m is None:
         exps = [n * r for r in range(full + 1)]
     else:  # top = q - 1; Python ints keep any n exact
@@ -225,25 +235,25 @@ def fermat_power(n: int, t: int, m: int | None = None, keep: np.ndarray | None =
     size = sum(1 << (e.bit_count() + t - r.bit_count()) for r, e in enumerate(exps))
     if size > PAIR_BUDGET:
         raise BudgetError(f"d^{full} has {size} monomials, over budget {PAIR_BUDGET}")
-    # row weight j + (n b mod period); unreduced n b <= top, so period = top + 1 leaves it whole
-    weigh, period = np.uint64(n if m is None else n % top), np.uint64(top + 1 if m is None else top)
-    keep = np.ones(top + 1, dtype=bool) if keep is None else keep
-    if m is not None:  # j + (n b mod (q - 1)) < 2 (q - 1): keep is read twice over
-        keep = np.concatenate([keep, keep])
+    tables = np.array([np.ones(period)] if keep is None else keep, dtype=bool).reshape(-1, period)
+    if m is not None:  # j + (n b mod (q - 1)) < 2 (q - 1): each table is read twice over
+        tables = np.concatenate([tables, tables], axis=1)
 
-    def blocks():  # per r: e = N(r), the submasks j of e and b of full ^ r, and keep[w] of each (j, b)
+    def blocks():  # per r: e = N(r), submasks j of e and b of full ^ r, and the tables at w of each (j, b)
         for r, e in enumerate(exps):
             j, b = _submasks(e), _submasks(full ^ r)
-            yield r, e, j, b, keep[j[:, None] + b * weigh % period]
+            yield r, e, j, b, tables[:, j[:, None] + b * weigh % period]
 
-    codes, pos = np.empty(sum(np.count_nonzero(kept) for *_, kept in blocks()), dtype=np.uint64), 0
-    for r, e, j, b, kept in blocks():  # x1^j y1^(e - j) x2^b y2^(full ^ r - b), compressed to the kept (j, b)
+    counts = np.array([[np.count_nonzero(rows) for rows in kept] for *_, kept in blocks()])  # per r and part
+    ends = counts.cumsum(axis=0)  # where the rows of each r end in each part
+    parts = [np.empty(size, dtype=np.uint64) for size in ends[-1]]
+    for (r, e, j, b, kept), stops, sizes in zip(blocks(), ends, counts):  # x1^j y1^(e-j) x2^b y2^(full^r-b)
         block = (j << 48 | (e - j) << 16)[:, None] | (b << 32 | (full ^ r) - b)
-        count = np.count_nonzero(kept)
-        np.compress(kept.ravel(), block, out=codes[pos : pos + count])
-        pos += count
-    codes.sort()
-    return SparsePoly(codes)
+        for codes, rows, stop, size in zip(parts, kept, stops, sizes):
+            np.compress(rows.ravel(), block, out=codes[stop - size : stop])
+    for codes in parts:
+        codes.sort()
+    return SparsePoly(parts[0]) if keep is None else [SparsePoly(codes) for codes in parts]
 
 
 def substitute(p: SparsePoly, n: int, m: int) -> SparsePoly:
@@ -352,8 +362,8 @@ def _certificate_rank(n: int, t: int) -> int:
     """
     total = n * ((1 << t) - 1)
     low = 2 * np.arange(total + 1) < total
-    rank = poly_rank(fermat_power(n, t, keep=low))
-    if t <= HALF_CHECK_T_MAX and (high_rank := poly_rank(fermat_power(n, t, keep=~low))) != rank:
+    rank = poly_rank(fermat_power(n, t, keep=[low])[0])
+    if t <= HALF_CHECK_T_MAX and (high_rank := poly_rank(fermat_power(n, t, keep=[~low])[0])) != rank:
         raise PropertyViolation(
             f"n={n} t={t}: the rows of weight below {total}/2 have rank {rank}, those above {high_rank}"
         )

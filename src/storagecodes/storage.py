@@ -20,7 +20,8 @@ must equal the dense rank of H; D is W substituted (polyf2.substitute), so
 rank_D = rank_W by construction, and substitution_ok checks that the block
 rank sees it.  The polynomial ranks take one weight class per orbit of
 w -> 2w and w -> -w on Z/(q - 1), times the orbit size, and only those
-classes are ever generated.
+classes (and class 2, for a self-check) are ever generated, all in one
+fermat_power call.
 """
 
 from __future__ import annotations
@@ -130,37 +131,24 @@ class CodeReport:
         }
 
 
-def _orbit_parts(period: int) -> list[tuple[int, np.ndarray]]:
-    """The classes mod period = q - 1 that graded_ranks ranks, as (multiplier, keep) parts.
+def _orbit_parts(m: int) -> list[tuple[int, np.ndarray]]:
+    """The classes mod q - 1 that graded_ranks ranks, as (multiplier, keep) parts.
 
-    Each part holds orbits of w -> 2w and w -> -w on Z/period, by their least
-    classes, and keep is its bool table over the classes: class 0 alone,
-    class 1 alone (the self-check compares class 2 with it), then the other
-    least classes grouped by orbit size, the multiplier of their part.
+    The orbit of w under w -> 2w and w -> -w on Z/(q - 1) is {+-2^k w : k < m};
+    each class gets the least element of its orbit, and the orbit size is the
+    number of classes with that least element.  keep is a part's bool table
+    over the classes: class 0 alone, class 1 alone (the self-check compares
+    class 2 with it), then the other least classes grouped by orbit size, the
+    multiplier of their part, in increasing order of size.
     """
-    sizes: dict[int, int] = {}  # least class -> orbit size
-    seen = np.zeros(period, dtype=bool)
-    for w in range(period):
-        if seen[w]:
-            continue
-        coset, x = [w], 2 * w % period  # 2 is a unit mod the odd period
-        while x != w:
-            coset.append(x)
-            x = 2 * x % period
-        orbit = set(coset) | {-x % period for x in coset}
-        seen[list(orbit)] = True
-        sizes[w] = len(orbit)
-    groups: dict[int, list[int]] = {}
-    for w, size in sizes.items():
-        if w > 1:
-            groups.setdefault(size, []).append(w)
-    alone = [(1, [0])] + ([(sizes[1], [1])] if period > 1 else [])
-    parts = []
-    for size, classes in alone + sorted(groups.items()):
-        keep = np.zeros(period, dtype=bool)
-        keep[classes] = True
-        parts.append((size, keep))
-    return parts
+    period = (1 << m) - 1
+    w = np.arange(period)
+    images = (w << np.arange(m)[:, None]) % period  # 2^k w, one row per k < m
+    least = np.minimum(images, -images % period).min(axis=0)
+    size = np.bincount(least, minlength=period)  # at a least class, the size of its orbit
+    lead = (least == w) & (w > 1)
+    alone = [(1, w == 0)] + ([(int(size[1]), w == 1)] if period > 1 else [])
+    return alone + [(int(s), lead & (size == s)) for s in np.flatnonzero(np.bincount(size[lead]))]
 
 
 def graded_ranks(n: int, m: int) -> tuple[int, int, int]:
@@ -176,16 +164,16 @@ def graded_ranks(n: int, m: int) -> tuple[int, int, int]:
     which takes class w to class 2w.  Substitution keeps each class and both
     symmetries, and 1 + W differs from W in class 0 only.  So the rank is the
     sum over the orbits of w -> 2w and w -> -w of the orbit size times the
-    rank of its least class.  fermat_power writes each part's classes alone
-    (its keep table), so the whole of W is never listed.  For m >= 2 class 2
-    of W is ranked as well, and a rank other than that of class 1 raises
-    PropertyViolation.
+    rank of its least class.  One fermat_power call writes every part of
+    _orbit_parts and class 2 of W, each alone (one keep table per part), so
+    the whole of W is never listed.  For m >= 2 a rank of class 2 other than
+    that of class 1 raises PropertyViolation.
     """
     period = (1 << m) - 1
-    sizes, keeps = zip(*_orbit_parts(period))
-    parts = [fermat_power(n, m, m, keep) for keep in keeps]
+    sizes, keeps = zip(*_orbit_parts(m))
+    *parts, class_2 = fermat_power(n, m, m, [*keeps, np.arange(period) == 2])
     ranks_w = [poly_rank(p) for p in parts]
-    if period > 1 and (rank_2 := poly_rank(fermat_power(n, m, m, np.arange(period) == 2))) != ranks_w[1]:
+    if period > 1 and (rank_2 := poly_rank(class_2)) != ranks_w[1]:
         raise PropertyViolation(f"n={n} m={m}: class 2 of W has rank {rank_2}, class 1 {ranks_w[1]}")
     rank_w = sum(size * rank for size, rank in zip(sizes, ranks_w))
     rank_h = rank_w - ranks_w[0] + poly_rank(parts[0] + SparsePoly.one())

@@ -167,6 +167,39 @@ def graded_part(p: SparsePoly, n: int, keep, period: int | None = None) -> Spars
     return SparsePoly(codes[np.array([bool(keep[w]) for w in rows], dtype=bool)])
 
 
+def orbit_parts_by_walk(period: int) -> list[tuple[int, np.ndarray]]:
+    """The (multiplier, keep) parts of storage._orbit_parts, by walking each coset.
+
+    Every class not yet seen starts a cyclotomic coset of w -> 2w mod period,
+    followed step by step; the coset and its negation are the orbit, its
+    first class is the least.  Class 0 and class 1 come alone, then the other
+    least classes grouped by orbit size in increasing order.
+    """
+    sizes: dict[int, int] = {}  # least class -> orbit size
+    seen = np.zeros(period, dtype=bool)
+    for w in range(period):
+        if seen[w]:
+            continue
+        coset, x = [w], 2 * w % period  # 2 is a unit mod the odd period
+        while x != w:
+            coset.append(x)
+            x = 2 * x % period
+        orbit = set(coset) | {-x % period for x in coset}
+        seen[list(orbit)] = True
+        sizes[w] = len(orbit)
+    groups: dict[int, list[int]] = {}
+    for w, size in sizes.items():
+        if w > 1:
+            groups.setdefault(size, []).append(w)
+    alone = [(1, [0])] + ([(sizes[1], [1])] if period > 1 else [])
+    parts = []
+    for size, classes in alone + sorted(groups.items()):
+        keep = np.zeros(period, dtype=bool)
+        keep[classes] = True
+        parts.append((size, keep))
+    return parts
+
+
 def d_by_binomials(n: int, extra=()) -> SparsePoly:
     """(x1 + y1)^n + x2 + y2 plus the monomials in extra, from binomial parities by factorials."""
     mons = [(i, 0, n - i, 0) for i in range(n + 1) if math.comb(n, i) % 2]

@@ -110,15 +110,16 @@ def test_fermat_power_refuses_a_size_over_the_cap_before_allocating(monkeypatch)
     # the whole power, whatever keep leaves of it
     monkeypatch.setattr(polyf2, "PAIR_BUDGET", 1000)
     assert len(fermat_power(7, 4)) == 832
-    none = fermat_power(7, 4, keep=np.zeros(7 * 15 + 1, dtype=bool))
+    [none] = fermat_power(7, 4, keep=[np.zeros(7 * 15 + 1, dtype=bool)])
     assert none == SparsePoly.zero() and poly_rank(none) == 0
-    assert fermat_power(7, 3, 3, np.zeros(7, dtype=bool)) == SparsePoly.zero()
+    assert fermat_power(7, 3, 3, [np.zeros(7, dtype=bool)] * 2) == [SparsePoly.zero()] * 2
+    assert fermat_power(7, 3, 3, []) == []
 
     def refuse(*args, **kwargs):
         raise AssertionError("fermat_power allocated its codes")
 
     monkeypatch.setattr(np, "empty", refuse)
-    for keep in (None, np.zeros(7 * 31 + 1, dtype=bool)):
+    for keep in (None, [np.zeros(7 * 31 + 1, dtype=bool)]):
         with pytest.raises(BudgetError, match="3792 monomials, over budget 1000"):
             fermat_power(7, 5, keep=keep)
 
@@ -211,21 +212,40 @@ def keep_table(size: int, seed: int, share: float) -> np.ndarray:
     return np.random.default_rng(seed).random(size) < share
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 15).map(lambda k: 2 * k + 1), st.integers(1, 6), seeds, shares)
-def test_fermat_power_writes_the_rows_of_the_kept_weights(n, t, seed, share):
-    keep = keep_table(n * ((1 << t) - 1) + 1, seed, share)
-    assert fermat_power(n, t, keep=keep) == graded_part(fermat_power(n, t), n, keep)
+table_draws = st.lists(st.tuples(seeds, shares), min_size=1, max_size=3)  # tables may overlap
 
 
 @settings(max_examples=40, deadline=None)
-@given(reduced_members() | st.tuples(st.just(2 ** 70 + 1), st.integers(1, 7)), seeds, shares)
-@example((2 ** 70 + 1, 7), 1, 0.5)
-def test_reduced_fermat_power_writes_the_rows_of_the_kept_classes(member, seed, share):
+@given(st.integers(0, 15).map(lambda k: 2 * k + 1), st.integers(1, 6), table_draws)
+def test_fermat_power_writes_the_rows_of_the_kept_weights(n, t, draws):
+    keep = [keep_table(n * ((1 << t) - 1) + 1, seed, share) for seed, share in draws]
+    whole = fermat_power(n, t)
+    assert fermat_power(n, t, keep=keep) == [graded_part(whole, n, table) for table in keep]
+
+
+@settings(max_examples=40, deadline=None)
+@given(reduced_members() | st.tuples(st.just(2 ** 70 + 1), st.integers(1, 7)), table_draws)
+@example((2 ** 70 + 1, 7), [(1, 0.5)])
+@example((3, 4), [(1, 0.5), (2, 0.5), (1, 0.5)])
+def test_reduced_fermat_power_writes_the_rows_of_the_kept_classes(member, draws):
     n, m = member
     period = (1 << m) - 1
-    keep = keep_table(period, seed, share)
-    assert fermat_power(n, m, m, keep) == graded_part(fermat_power(n, m, m), n, keep, period)
+    keep = [keep_table(period, seed, share) for seed, share in draws]
+    whole = fermat_power(n, m, m)
+    assert fermat_power(n, m, m, keep) == [graded_part(whole, n, table, period) for table in keep]
+
+
+@pytest.mark.parametrize("n, t, m, size", [(3, 4, None, 3 * 15 + 1), (3, 4, 4, 15), (2 ** 70 + 1, 3, 5, 31)])
+def test_keep_tables_of_the_wrong_length_are_rejected_before_listing_terms(monkeypatch, n, t, m, size):
+    # a reduced table one entry too long would be read twice over at the wrong period
+    def refuse(*args, **kwargs):
+        raise AssertionError("fermat_power listed its terms")
+
+    monkeypatch.setattr(polyf2, "_submasks", refuse)
+    for wrong in (size - 1, size + 1):
+        for keep in ([np.ones(wrong, dtype=bool)], [np.ones(size, dtype=bool), np.ones(wrong, dtype=bool)]):
+            with pytest.raises(ParameterError, match=f"needs {size} entries"):
+                fermat_power(n, t, m, keep)
 
 
 def test_certify_raises_when_the_halves_disagree(monkeypatch):
@@ -261,7 +281,7 @@ def test_low_half_of_the_n13_t7_certificate_is_written_alone():
     low = 2 * np.arange(13 * 127 + 1) < 13 * 127
     tracemalloc.start()
     try:
-        half = fermat_power(13, 7, keep=low)
+        [half] = fermat_power(13, 7, keep=[low])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -28,6 +28,7 @@ from oracles import (
     d_matrix_by_evaluation,
     mat_vec,
     mersenne_power,
+    orbit_parts_by_walk,
     reduce_mod,
     span_rank,
     verify_repair_by_rows,
@@ -238,11 +239,30 @@ def full_ranks(n: int, m: int) -> tuple[int, int, int]:
 
 @settings(max_examples=40, deadline=None)
 @given(odd_members())
+@example((3, 1))  # Z/1: class 0 alone
+@example((3, 2))  # Z/3: class 0, and class 1 with its double
 @example((3, 7))
 @example((63, 6))
 def test_orbit_ranks_equal_the_full_ranks(member):
     n, m = member
     assert graded_ranks(n, m) == full_ranks(n, m)
+
+
+@pytest.mark.parametrize("m", range(1, 14))
+def test_orbit_parts_equal_the_coset_walk(m):
+    got, want = storage._orbit_parts(m), orbit_parts_by_walk((1 << m) - 1)
+    assert [size for size, _ in got] == [size for size, _ in want]
+    assert all(type(size) is int for size, _ in got)
+    for (_, keep), (_, table) in zip(got, want):
+        assert keep.dtype == bool and np.array_equal(keep, table)
+
+
+@pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (5, 6), (3, 7)])
+def test_graded_ranks_generate_w_in_one_call(monkeypatch, n, m):
+    calls = []
+    monkeypatch.setattr(storage, "fermat_power", lambda *args: calls.append(args) or fermat_power(*args))
+    graded_ranks(n, m)
+    assert len(calls) == 1
 
 
 def test_orbit_ranks_of_the_m7_member_write_only_the_ranked_classes():
