@@ -40,15 +40,19 @@ entry its block and its row and column within the block, so no block is
 compacted.  Every block, one-row and one-column blocks included, takes one
 path: the blocks whose shapes round up to the same multiples of 8 are
 packed into one (blocks, rows, words) stack and eliminated in lockstep, one
-Python iteration per column for the whole stack (the certificate
-coefficient matrices for n = 11 and 13 at t = 7 hold 1548 and 1822 blocks
-in 46 and 35 stacks).  The
-component pass labels rows and columns in int32, and each entry becomes one
-int64 bit position in the stacks laid end to end, so besides the 8 bytes of
-the entry itself ``rank`` holds about 24 bytes per entry: a tracemalloc
-peak of 2.44 MB for the 84192 entries of n = 13 at t = 7.  The dense
-``BitMatrix`` elimination stays separate: it is the independent route that
-the block ranks are checked against.
+Python iteration per column for the whole stack (the halves of the
+certificate coefficient matrices that ``certify`` ranks for n = 11 and 13
+at t = 7 hold 774 and 911 blocks in 32 and 29 stacks).  The component pass
+labels rows and columns in int32, side by side per entry, and each entry's
+int64 bit position in the stacks laid end to end is written over its two
+labels.  Apart from in-place sorts, every pass over the entries or the
+nodes goes ``_CHUNK`` at a time.  So on the certificate matrices, with about 3 rows and columns to
+every 4 entries, ``rank`` holds under 20 bytes per entry besides the 8 of
+the entry itself: a tracemalloc peak of 1.52 MB (18.0 bytes per entry)
+for the 84192 entries of n = 13 at t = 7, and 16.0 bytes per entry for the
+4929984 of the low half at n = 19, t = 10.  The dense ``BitMatrix``
+elimination stays separate: it is the independent route that the block
+ranks are checked against.
 """
 
 from __future__ import annotations
@@ -65,6 +69,7 @@ DENSE_BITS = 1 << 28  # byte cap for dense expansions (one byte per bit) and pol
 _TABLE_WORDS = 1 << 15  # XOR-table words per column panel of a strip update (256 KiB)
 _BLOCK_WORDS = 1 << 14  # words per row block of a strip update (128 KiB)
 _DUMP_ROWS = 512  # rows per block of the hex dump
+_CHUNK = 1 << 12  # entries or nodes per chunk of SparseBitMatrix.rank's passes over them
 _MAX_ENTRIES = 1 << 30  # SparseBitMatrix.rank labels its rows and columns, together, in int32
 _LOW = np.uint64(0xFFFFFFFF)  # the column half of a SparseBitMatrix entry
 
@@ -129,10 +134,6 @@ class BitMatrix:
                 raise ParameterError(f"row {i} does not fit in {cols} columns")
             m.words[i] = _int_to_words(v, cols)
         return m
-
-    @classmethod
-    def random(cls, rows: int, cols: int, rng: np.random.Generator) -> "BitMatrix":
-        return cls.from_dense(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
 
     # -- accessors ------------------------------------------------------
 
@@ -412,24 +413,36 @@ class SparseBitMatrix:
         to multiples of 8, and each stack is eliminated in lockstep
         (``_stack_rank``).  The stacks are laid end to end as one bit space, so
         every entry is one int64 bit position there; sorting the positions
-        groups the entries by stack.  Besides the entries, the pass holds at
-        most about 24 bytes per entry, in int32 labels that are dropped once
-        used.
+        groups the entries by stack.  Besides the entries, the rank holds 8
+        bytes per entry, its int32 row and column labels with its position
+        later written over them, about 12 bytes per row or column, and
+        temporaries of ``_CHUNK`` items: under 20 bytes per entry on the
+        certificate matrices.
         """
         if self.nnz == 0:
             return 0
         if self.nnz >= _MAX_ENTRIES:
             raise BudgetError(f"{self.nnz} entries exceed the {_MAX_ENTRIES}-entry cap of rank")
-        r, R = _dense_labels(self._entries >> np.uint64(32))
-        c, C = _dense_labels(self._entries & _LOW)
+        N = self.nnz
+        # an entry's row and column labels sit side by side, so that its int64
+        # bit position can later be written over them
+        rc = np.empty((N, 2), dtype=np.int32)
+        r, c = rc[:, 0], rc[:, 1]
+        R = _dense_labels(self._entries & ~_LOW, r)
+        C = _dense_labels(self._entries << np.uint64(32), c)
         c += R  # rows are nodes 0..R-1, columns R..R+C-1
         label = _least_node_labels(r, c, R + C)
-        # number the components 0..K-1 in order of their least nodes
-        comp = np.cumsum(label == np.arange(R + C, dtype=np.int32), dtype=np.int32)
-        K = int(comp[-1])
-        comp -= 1
-        comp = comp[label]
-        del label
+        # number the components 0..K-1 in order of their least nodes, the
+        # labels' values, and write each node's component over its label
+        number = np.zeros(R + C, dtype=np.int32)
+        number[label] = 1
+        np.cumsum(number, out=number)
+        K = int(number[-1])
+        number -= 1
+        comp = label
+        for s in _chunks(R + C):
+            comp[s] = number[comp[s]]
+        del label, number
         rows_in = np.bincount(comp[:R], minlength=K)
         cols_in = np.bincount(comp[R:], minlength=K)
         # blocks: the components in order of shape rounded up to multiples of 8, then of least node
@@ -437,12 +450,14 @@ class SparseBitMatrix:
         by_shape = np.argsort(shape, kind="stable")
         block = np.empty(K, dtype=np.int32)
         block[by_shape] = np.arange(K, dtype=np.int32)
-        node = block[comp]
-        del comp, block
-        # the local index of a node is its position among its block's nodes of its kind
-        local = np.empty(R + C, dtype=np.int32)
-        local[:R] = _rank_within(node[:R], rows_in[by_shape])
-        local[R:] = _rank_within(node[R:], cols_in[by_shape])
+        # the local index of a node, its position among its block's nodes of
+        # its kind, replaces its component once the rows' blocks are read
+        local = comp
+        _rank_within(comp[R:], cols_in, local[R:])
+        row_block = block[comp[:R]]
+        del block
+        _rank_within(comp[:R], rows_in, local[:R])
+        del comp
         shape = shape[by_shape]
         # a stack holds a run of blocks of one shape, found by one scan of the
         # sorted shapes; each block is its rows of whole words.  The stacks span
@@ -460,40 +475,69 @@ class SparseBitMatrix:
             first_bit[b0:b1] = bit + np.arange(b1 - b0) * (rows * words * WORD)
             bit += (b1 - b0) * rows * words * WORD
         # the position of entry (row, col) is its row's first bit plus its column's local index
-        row_bit = local[:R] * row_bits[node[:R]]
-        row_bit += first_bit[node[:R]]
-        del node, row_bits, first_bit
-        pos = row_bit[r]
-        del r, row_bit
-        pos += local[c]
-        del c, local
+        row_bit = np.empty(R, dtype=np.int64)
+        for s in _chunks(R):
+            b = row_block[s]
+            row_bit[s] = row_bits[b] * local[s] + first_bit[b]
+        del row_block, row_bits, first_bit
+        pos = rc.view(np.int64).reshape(N)
+        for s in _chunks(N):
+            pos[s] = row_bit[r[s]] + local[c[s]]
+        del rc, r, c, row_bit, local
         pos.sort()
         at = np.searchsorted(pos, [s[4] for s in stacks] + [bit]).tolist()
         total = 0
         for (blocks, rows, cols, words, start), lo, hi in zip(stacks, at, at[1:]):
             stack = np.zeros((blocks, rows, words), dtype=np.uint64)
-            word = pos[lo:hi] - start
-            mask = (word & (WORD - 1)).view(np.uint64)
-            np.left_shift(np.uint64(1), mask, out=mask)
-            word >>= 6
-            np.bitwise_or.at(stack.reshape(-1), word, mask)
-            del word, mask
+            part = pos[lo:hi]
+            for s in _chunks(part.size):
+                word = part[s] - start
+                mask = (word & (WORD - 1)).view(np.uint64)
+                np.left_shift(np.uint64(1), mask, out=mask)
+                word >>= 6
+                np.bitwise_or.at(stack.reshape(-1), word, mask)
             total += _stack_rank(stack, cols)
         return total
 
 
-def _dense_labels(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """The int32 rank of each key among the distinct keys, and their number."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    step = ordered[1:] != ordered[:-1]
-    del ordered
-    labels = np.zeros(keys.size, dtype=np.int32)
-    np.cumsum(step, dtype=np.int32, out=labels[1:])
-    del step
-    out = np.empty_like(labels)
-    out[order] = labels
-    return out, int(labels[-1]) + 1
+def _chunks(size: int):
+    """Slices of at most _CHUNK items that cover range(size), in order."""
+    return (slice(k, min(k + _CHUNK, size)) for k in range(0, size, _CHUNK))
+
+
+def _sort_with_index(pairs: np.ndarray) -> None:
+    """Write each element's index into the low 32 bits of pairs, then sort pairs.
+
+    The high bits hold a key and the low 32 bits are zero on entry; once
+    sorted, the pairs list the keys in order, each with the indices of the
+    elements that hold it in increasing order, as a stable argsort would.
+    """
+    for s in _chunks(pairs.size):
+        pairs[s] |= np.arange(s.start, s.stop, dtype=pairs.dtype)
+    pairs.sort()
+
+
+def _dense_labels(pairs: np.ndarray, out: np.ndarray) -> int:
+    """Write the rank of each key among the distinct keys into out; return their number.
+
+    pairs is a uint64 array with each element's key in its high 32 bits and
+    zeros below, and is used up by ``_sort_with_index``; the ranks are then
+    counted along the sorted pairs a chunk at a time.
+    """
+    _sort_with_index(pairs)
+    distinct = 0  # the distinct keys before the chunk
+    for s in _chunks(pairs.size):
+        pair = pairs[s]
+        key = pair >> np.uint64(32)
+        rank = np.ones(key.size, dtype=np.int32)
+        np.not_equal(key[1:], key[:-1], out=rank[1:])
+        if s.start:
+            rank[0] = key[0] != pairs[s.start - 1] >> np.uint64(32)
+        np.cumsum(rank, out=rank)
+        rank += distinct - 1
+        out[pair & _LOW] = rank
+        distinct = int(rank[-1]) + 1
+    return distinct
 
 
 def _least_node_labels(r: np.ndarray, c: np.ndarray, nodes: int) -> np.ndarray:
@@ -501,39 +545,42 @@ def _least_node_labels(r: np.ndarray, c: np.ndarray, nodes: int) -> np.ndarray:
 
     Min-label propagation with one pointer jump per round: labels only
     decrease and stay inside their component, so the fixpoint gives each
-    component one label, its least node.
+    component one label, its least node.  A round that lowers no label
+    leaves each component one label that labels itself, so the jump would
+    change nothing and the propagation stops there.  The edges are read a
+    chunk at a time.
     """
     label = np.arange(nodes, dtype=np.int32)
     while True:
-        low = label[r]
-        np.minimum(low, label[c], out=low)
         new = label.copy()
-        np.minimum.at(new, r, low)
-        np.minimum.at(new, c, low)
-        del low
-        new = new[new]
+        for s in _chunks(r.size):
+            rs, cs = r[s], c[s]
+            low = label[rs]
+            np.minimum(low, label[cs], out=low)
+            np.minimum.at(new, rs, low)
+            np.minimum.at(new, cs, low)
         if np.array_equal(new, label):
             return label
-        label = new
+        del label
+        label = new[new]
 
 
-def _rank_within(group: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """For each element, how many earlier elements share its group.
+def _rank_within(group: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
+    """Write into out, for each element, how many earlier elements share its group.
 
     counts[g] is the size of group g, and group ids and indices are below
-    2^31; the result has group's dtype.  Sorting the packed pairs
-    (group, index) orders the elements as a stable argsort would, in a
-    fraction of its time.
+    2^31.  Sorting the packed pairs (group, index) orders the elements as a
+    stable argsort would, in a fraction of its time; the pairs are read
+    back a chunk at a time.  out may be group itself.
     """
-    order = group.astype(np.int64) << 32
-    order |= np.arange(group.size)
-    order.sort()
-    order &= 0xFFFFFFFF
-    ranks = (np.cumsum(counts) - counts).astype(group.dtype)[group[order]]
-    np.subtract(np.arange(group.size, dtype=group.dtype), ranks, out=ranks)
-    out = np.empty_like(group)
-    out[order] = ranks
-    return out
+    order = np.left_shift(group, 32, dtype=np.int64)
+    _sort_with_index(order)
+    first = np.cumsum(counts) - counts  # the first place of each group in the order
+    for s in _chunks(group.size):
+        pair = order[s]
+        index = pair & 0xFFFFFFFF
+        pair >>= 32
+        out[index] = np.arange(s.start, s.stop) - first[pair]
 
 
 def _stack_rank(M: np.ndarray, cols: int) -> int:

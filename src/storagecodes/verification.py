@@ -14,11 +14,10 @@ Budgets:
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from . import bitmatrix, carryfree, graphs, polyf2, storage
 from .errors import ParameterError
@@ -88,11 +87,11 @@ def claim_bset_structure_laws(seed: int):
                 if b_size(s) != b_size(hi) * b_size(lo):
                     return False, f"product law fails at s={s}, gap bit {z}"
     # split law on random split points, as full sets
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     trials = 200
     for _ in range(trials):
-        s = int(rng.integers(0, lim))
-        k = int(rng.integers(1, top_bits))
+        s = rng.randrange(lim)
+        k = rng.randrange(1, top_bits)
         lo_set = carryfree.b_set(s & ((1 << k) - 1), 1)
         hi_set = carryfree.b_set(s >> k, 1)
         combined = sorted({(h << k) + l for h in hi_set for l in lo_set})
@@ -199,7 +198,7 @@ def claim_graph_criteria(seed: int):
 def claim_repair_property(seed: int):
     """Seeded codewords repair everywhere; one-bit corruptions never do."""
     count = 100
-    rng = np.random.default_rng(seed + 1)
+    rng = random.Random(seed + 1)
     for n in (3, 5):
         for m in (2, 3):
             f = GF2m(m)
@@ -210,7 +209,7 @@ def claim_repair_property(seed: int):
             for w in words:
                 if not storage.verify_repair(g, w):
                     return False, f"codeword fails repair at n={n}, m={m}"
-                flip = int(rng.integers(0, g.num_vertices))
+                flip = rng.randrange(g.num_vertices)
                 if storage.verify_repair(g, w ^ (1 << flip)):
                     return False, f"corrupted word passes at n={n}, m={m}"
     return True, f"{count} samples per member, corruptions rejected"
@@ -219,16 +218,14 @@ def claim_repair_property(seed: int):
 def claim_rank_product_laws(seed: int):
     """Tensor multiplicativity, entrywise submultiplicativity, doubling
     invariance, and evaluation rank = coefficient rank for large fields."""
-    rng = np.random.default_rng(seed + 2)
+    rng = random.Random(seed + 2)
     trials = 100
     for _ in range(trials):
-        a = bitmatrix.BitMatrix.random(6, 6, rng)
-        b = bitmatrix.BitMatrix.random(6, 6, rng)
+        a, b = _random_matrix(rng, 6, 6), _random_matrix(rng, 6, 6)
         if a.tensor(b).rank() != a.rank() * b.rank():
             return False, "tensor rank multiplicativity fails"
     for _ in range(trials):
-        a = bitmatrix.BitMatrix.random(8, 8, rng)
-        b = bitmatrix.BitMatrix.random(8, 8, rng)
+        a, b = _random_matrix(rng, 8, 8), _random_matrix(rng, 8, 8)
         if a.hadamard(b).rank() > a.rank() * b.rank():
             return False, "entrywise-product rank bound fails"
     poly_trials = 50
@@ -263,9 +260,13 @@ def claim_certificates_extended(seed: int):
     return True, " ".join(f"n={n}:rank={r}" for n, r, _ in got)
 
 
-def _random_poly(rng: np.random.Generator, max_monos: int, max_exp: int) -> polyf2.SparsePoly:
-    k = int(rng.integers(1, max_monos + 1))
-    mons = [tuple(int(e) for e in rng.integers(0, max_exp + 1, size=4)) for _ in range(k)]
+def _random_matrix(rng: random.Random, rows: int, cols: int) -> bitmatrix.BitMatrix:
+    return bitmatrix.BitMatrix.from_row_ints((rng.getrandbits(cols) for _ in range(rows)), cols)
+
+
+def _random_poly(rng: random.Random, max_monos: int, max_exp: int) -> polyf2.SparsePoly:
+    k = rng.randint(1, max_monos)
+    mons = [tuple(rng.randint(0, max_exp) for _ in range(4)) for _ in range(k)]
     return polyf2.SparsePoly.from_monomials(mons)
 
 

@@ -2,10 +2,12 @@
 
 Everything here avoids the package's elimination and enumeration paths on
 purpose: ranks come from enumerating row spans, parities from factorials,
-and set constructions from quadratic scans.
+and set constructions from quadratic scans.  ``traced_peak`` measures the
+memory that the tests' caps bound.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -41,6 +43,21 @@ def pivot_rank(row_ints) -> int:
                 rank += 1
                 break
     return rank
+
+
+def traced_peak(fn, *args):
+    """Call fn(*args) under tracemalloc; return its result and the peak of traced bytes."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> BitMatrix:
+    """A rows x cols matrix of independent fair bits."""
+    return BitMatrix.from_dense(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
 
 
 def mat_vec(matrix: BitMatrix, v: int) -> int:

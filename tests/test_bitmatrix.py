@@ -1,6 +1,7 @@
 import functools
 import io
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from storagecodes import bitmatrix
 from storagecodes.bitmatrix import BitMatrix, SparseBitMatrix
 from storagecodes.errors import BudgetError, ParameterError
 
-from oracles import mat_vec, pivot_rank, span_rank, transpose
+from oracles import mat_vec, pivot_rank, random_matrix, span_rank, transpose
 
 # the 4x4 coset matrix of the smallest family member: rows e_x + e_{x^3}
 H4_ROWS = [0b1001, 0b0110, 0b0110, 0b1001]
@@ -57,7 +58,7 @@ def test_rank_matches_span_oracle_random():
     rng = np.random.default_rng(101)
     for rows, cols in ((5, 5), (8, 3), (3, 9), (12, 12)):
         for _ in range(20):
-            m = BitMatrix.random(rows, cols, rng)
+            m = random_matrix(rows, cols, rng)
             assert m.rank() == span_rank(m.row_int(i) for i in range(rows))
 
 
@@ -65,13 +66,13 @@ def test_rank_matches_pivot_oracle_across_word_boundaries():
     rng = np.random.default_rng(112)
     for rows, cols in ((20, 70), (70, 20), (65, 65), (5, 200)):
         for _ in range(10):
-            m = BitMatrix.random(rows, cols, rng)
+            m = random_matrix(rows, cols, rng)
             assert m.rank() == pivot_rank(m.row_int(i) for i in range(rows))
 
 
 def test_kernel_on_wide_matrices():
     rng = np.random.default_rng(113)
-    m = BitMatrix.random(30, 100, rng)
+    m = random_matrix(30, 100, rng)
     basis = m.kernel_basis()
     assert m.rank() + len(basis) == 100
     assert all(mat_vec(m, v) == 0 for v in basis)
@@ -82,7 +83,7 @@ def test_rank_transpose_and_permutation_invariance():
     rng = np.random.default_rng(202)
     for _ in range(15):
         size = int(rng.integers(1, 65))
-        m = BitMatrix.random(size, size, rng)
+        m = random_matrix(size, size, rng)
         r = m.rank()
         assert transpose(m).rank() == r
         dense = m.to_dense()
@@ -128,7 +129,7 @@ def test_rank_plus_kernel_dimension_is_cols():
     for _ in range(20):
         rows = int(rng.integers(1, 40))
         cols = int(rng.integers(1, 40))
-        m = BitMatrix.random(rows, cols, rng)
+        m = random_matrix(rows, cols, rng)
         basis = m.kernel_basis()
         assert m.rank() + len(basis) == cols
         assert all(mat_vec(m, v) == 0 for v in basis)
@@ -245,19 +246,19 @@ def test_tensor_rejects_results_over_the_dense_cap():
 def test_tensor_rank_multiplicative():
     rng = np.random.default_rng(404)
     for _ in range(30):
-        a = BitMatrix.random(6, 6, rng)
-        b = BitMatrix.random(6, 6, rng)
+        a = random_matrix(6, 6, rng)
+        b = random_matrix(6, 6, rng)
         assert a.tensor(b).rank() == a.rank() * b.rank()
 
 
 def test_hadamard_identities_and_bound():
     rng = np.random.default_rng(505)
-    a = BitMatrix.random(8, 8, rng)
+    a = random_matrix(8, 8, rng)
     assert a.hadamard(ones(8, 8)) == a
     assert a.hadamard(BitMatrix(8, 8)) == BitMatrix(8, 8)
     for _ in range(30):
-        x = BitMatrix.random(8, 8, rng)
-        y = BitMatrix.random(8, 8, rng)
+        x = random_matrix(8, 8, rng)
+        y = random_matrix(8, 8, rng)
         assert x.hadamard(y).rank() <= x.rank() * y.rank()
     with pytest.raises(ParameterError):
         a.hadamard(BitMatrix(7, 8))
@@ -265,7 +266,7 @@ def test_hadamard_identities_and_bound():
 
 def test_complement_is_involution_and_flips_entries():
     rng = np.random.default_rng(606)
-    m = BitMatrix.random(9, 70, rng)
+    m = random_matrix(9, 70, rng)
     c = m.complement()
     assert c.complement() == m
     assert m.to_dense().sum() + c.to_dense().sum() == 9 * 70
@@ -284,7 +285,7 @@ def test_row_int_round_trip_and_get():
 
 def test_mat_vec_against_popcount():
     rng = np.random.default_rng(707)
-    m = BitMatrix.random(10, 33, rng)
+    m = random_matrix(10, 33, rng)
     for _ in range(30):
         v = int(rng.integers(0, 1 << 33))
         bits = np.array([(v >> j) & 1 for j in range(33)])
@@ -300,7 +301,7 @@ def test_dump_format_exact_and_round_trip():
     assert buf.getvalue() == "1 8\n18\n"
     rng = np.random.default_rng(808)
     for rows, cols in ((3, 5), (7, 64), (4, 70)):
-        m = BitMatrix.random(rows, cols, rng)
+        m = random_matrix(rows, cols, rng)
         buf = io.StringIO()
         m.dump(buf)
         buf.seek(0)
@@ -310,7 +311,7 @@ def test_dump_format_exact_and_round_trip():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 9), st.integers(0, 140), st.integers(0, 2 ** 32 - 1))
 def test_dump_load_round_trip_property(rows, cols, seed):
-    m = BitMatrix.random(rows, cols, np.random.default_rng(seed))
+    m = random_matrix(rows, cols, np.random.default_rng(seed))
     buf = io.StringIO()
     m.dump(buf)
     buf.seek(0)
@@ -425,7 +426,7 @@ def test_sparse_compact_deduplicates_and_matches_dense():
 def test_rank_at_thirty_thousand_dimensions_within_memory():
     rng = np.random.default_rng(1010)
     n = 30_000
-    base = BitMatrix.random(64, n, rng)
+    base = random_matrix(64, n, rng)
     big = BitMatrix(n, n)
     reps = -(-n // 64)
     big.words = np.tile(base.words, (reps, 1))[:n]
@@ -466,6 +467,30 @@ def test_block_rank_leaves_the_key_arrays_unchanged(entries, data):
     assert s._entries is array
     s.rank()
     assert np.array_equal(array, before)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=2, max_size=60),
+       st.sampled_from(["strided", "descending"]), st.sampled_from([1, 2, 3, 7, bitmatrix._CHUNK]))
+def test_block_rank_of_strided_and_unsorted_entry_arrays(entries, layout, chunk):
+    # the rank cuts each entry's row and column out as 32-bit keys and reads
+    # them a chunk at a time; chunks of a few entries put chunk ends inside
+    # runs of equal keys
+    array = np.sort(entry_array([r for r, _ in entries], [c for _, c in entries]))
+    if layout == "strided":  # every other word of a buffer whose other words are set
+        buffer = np.full(2 * array.size, np.uint64(2 ** 64 - 1))
+        buffer[::2] = array
+        array = buffer[::2]
+        assert not array.flags.c_contiguous
+    else:  # contiguous, but its rows run from the last to the first
+        buffer = array = array[::-1].copy()
+    before = buffer.copy()
+    s = SparseBitMatrix(array)
+    assert s._entries is array
+    with mock.patch.object(bitmatrix, "_CHUNK", chunk):
+        rank = s.rank()
+    assert np.array_equal(buffer, before)
+    assert rank == s.compact().rank()
 
 
 def test_block_rank_refuses_more_entries_than_int32_labels_can_number(monkeypatch):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -420,6 +423,21 @@ def test_verify_all_quick_reports_known_failure(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify-all", "--budget", "full")
     assert (code, err) == (4, "")
     assert verify_all_check()(Result(code, out, err, 0.0, 0.0, "")) == []
+
+
+@pytest.mark.slow
+def test_verify_all_leaves_numpy_random_unimported(tmp_path):
+    # the randomised claims draw from random.Random: importing numpy.random
+    # loads about 5.9 MB of extension modules into the run
+    code = ("import io, sys\n"
+            "from storagecodes import verification\n"
+            "verification.run_all('full', sink=io.StringIO())\n"
+            "print('numpy.random' in sys.modules)\n")
+    paths = [str(BENCH.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_verify_all_rejects_negative_seed_before_any_claim(capsys, monkeypatch):

@@ -1,6 +1,5 @@
 import io
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from storagecodes.graphs import (
     triangle_oracle,
 )
 
-from oracles import export_edges_by_neighbors, pivot_rank
+from oracles import export_edges_by_neighbors, pivot_rank, traced_peak
 
 
 def test_params_validation():
@@ -88,12 +87,7 @@ def test_graph_is_simple_and_symmetric():
 def test_build_graph_holds_no_per_vertex_data():
     # one Python-int adjacency row per vertex took the m = 7 peak to 34.5 MB
     field = GF2m(7)
-    tracemalloc.start()
-    try:
-        g = build_graph(FamilyParams(3, 7), field)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    g, peak = traced_peak(build_graph, FamilyParams(3, 7), field)
     assert (g.num_vertices, g.degree) == (1 << 14, 127)
     assert peak <= 1 << 20, f"build_graph peaked at {peak} bytes"
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -33,6 +32,7 @@ from oracles import (
     poly_mul_by_dict,
     reduce_mod,
     span_rank,
+    traced_peak,
     xor_reduce_by_counts,
 )
 
@@ -279,24 +279,14 @@ def test_low_half_of_the_n13_t7_certificate_is_written_alone():
     # would hold them twice, while counting them first and then filling one
     # array peaks at 0.42 MB
     low = 2 * np.arange(13 * 127 + 1) < 13 * 127
-    tracemalloc.start()
-    try:
-        [half] = fermat_power(13, 7, keep=[low])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    [half], peak = traced_peak(lambda: fermat_power(13, 7, keep=[low]))
     assert len(half) == 42096
     assert peak <= 500_000
 
 
 def test_fermat_power_of_the_n13_t7_certificate_fills_one_array():
     # 84192 codes of 8 bytes are 0.67 MB; the product route peaked at 2.47 MB
-    tracemalloc.start()
-    try:
-        power = fermat_power(13, 7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    power, peak = traced_peak(fermat_power, 13, 7)
     assert len(power) == 84192
     assert peak <= 1_200_000
 
@@ -507,13 +497,12 @@ def test_mul_budget_errors():
     p = SparsePoly.from_monomials((i, 0, 0, 0) for i in range(10001))
     q = SparsePoly.from_monomials((0, 0, i, 0) for i in range(10001))
     assert len(p) * len(q) > polyf2.PAIR_BUDGET
-    tracemalloc.start()
-    try:
+
+    def refuse():
         with pytest.raises(BudgetError, match="over budget"):
             poly_mul(p, q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refuse)
     assert peak < 100_000
     with pytest.raises(BudgetError):
         SparsePoly.from_monomials([(1 << 17, 0, 0, 0)])
@@ -748,12 +737,7 @@ def test_product_of_the_n13_t7_power_reduces_its_pairs_in_place():
     # and count arrays took the peak to 6.5 MB, about 33 bytes per pair
     d = fermat_power(13, 1)
     acc, f = fermat_power(13, 6), frobenius(d, 6)
-    tracemalloc.start()
-    try:
-        product = poly_mul(acc, f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    product, peak = traced_peak(poly_mul, acc, f)
     assert (len(acc) * len(f), len(product)) == (197120, 84192)
     assert peak <= 2_500_000
 
@@ -762,29 +746,33 @@ def test_certify_n13_ranks_half_of_each_power():
     # the t = 7 power has 84192 entries; its halves hold 42096 each, and only
     # one half is written at a time.  The whole rank peaked at 3.12 MB, and the
     # halves filtered from the whole power at 1.90 MB; written alone, the run
-    # peaks at 1.56 MB, and the cap sits 12% above that
-    tracemalloc.start()
-    try:
-        res = certify_unit_rate(13, t_max=7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # peaked at 1.57 MB, and with the rank of a half at under 20 bytes per
+    # entry it peaks at 1.24 MB; the cap sits 10% above that
+    res, peak = traced_peak(certify_unit_rate, 13, 7)
     assert res.trace[-1] == (7, 14442, 16384)
-    assert peak <= 1_750_000
+    assert peak <= 1_360_000
 
 
 def test_block_rank_of_the_n13_t7_power_holds_int32_labels():
-    # 84192 entries, ranked in the polynomial's own codes with about 24 bytes per
-    # entry beside them; the cap sits 10% above the measured 2.44 MB
+    # 84192 entries, ranked in the polynomial's own codes; int64 sort keys and
+    # positions beside them took 2.44 MB (29 bytes per entry), and packed-pair
+    # labels with the positions written over them take 1.52 MB (18.0); the
+    # cap sits 10% above that
     power = fermat_power(13, 7)
-    tracemalloc.start()
-    try:
-        rank = poly_rank(power)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rank, peak = traced_peak(poly_rank, power)
     assert (len(power), rank) == (84192, 14442)
-    assert peak <= 2_700_000
+    assert peak <= 1_670_000
+
+
+@pytest.mark.extended
+def test_block_rank_of_the_n19_t9_low_half_holds_20_bytes_per_entry():
+    # beside its 8-byte entries the rank of this half held 29.0 bytes per entry,
+    # and now holds 16.1; about 6 s under tracemalloc
+    total = 19 * ((1 << 9) - 1)
+    [half] = fermat_power(19, 9, keep=[2 * np.arange(total + 1) < total])
+    rank, peak = traced_peak(poly_rank, half)
+    assert (len(half), rank) == (1110016, 151037)
+    assert peak <= 20 * len(half)
 
 
 def test_submultiplicativity_chain():

@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -31,6 +30,7 @@ from oracles import (
     orbit_parts_by_walk,
     reduce_mod,
     span_rank,
+    traced_peak,
     verify_repair_by_rows,
 )
 
@@ -268,12 +268,7 @@ def test_graded_ranks_generate_w_in_one_call(monkeypatch, n, m):
 def test_orbit_ranks_of_the_m7_member_write_only_the_ranked_classes():
     # W of (3, 7) has 27696 codes, 0.22 MB; written whole and filtered, the
     # ranks peaked at 0.62 MB, and the parts written alone peak at 0.14-0.16 MB
-    tracemalloc.start()
-    try:
-        ranks = graded_ranks(3, 7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ranks, peak = traced_peak(graded_ranks, 3, 7)
     assert ranks == (3610, 3610, 3610)
     assert peak <= 350_000
 
@@ -386,12 +381,7 @@ def test_kernel_of_the_m6_member_eliminates_its_augmented_matrix_in_place():
     # [H^T | 0 | I] is 4096 x 8192 bits, 4 MB; a second copy of it took the peak to 9.6 MB
     h = coset_matrix(FamilyParams(3, 6), GF2m(6))
     before = h.words.copy()
-    tracemalloc.start()
-    try:
-        basis = h.kernel_basis()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    basis, peak = traced_peak(h.kernel_basis)
     assert peak <= 7_000_000
     assert np.array_equal(h.words, before)
     assert len(basis) == 2994 == h.cols - h.rank()
