@@ -12,28 +12,35 @@ Operations that would push an exponent past 2^16 - 1 raise BudgetError
 instead of corrupting neighbours.
 
 The polynomials the toolkit ranks are Fermat powers of d = (x1+y1)^n + x2 + y2:
-the certificate d^(2^t - 1) and the indicator red(d^(q - 1)) of d != 0 on
-GF(q)^4.  ``fermat_power`` writes their codes down directly (the expansion has
-no cancellation), so neither route forms a product; ``poly_mul`` and
-``frobenius`` stay as the general operations, and the product of Frobenius
-copies is the reference route in the tests.  rank(p) is the GF(2) rank of
-the coefficient matrix, rows (e_x1, e_x2) and columns (e_y1, e_y2); a code
-is already that matrix's entry row << 32 | col, so ``coeff_matrix`` wraps p's
-array without a copy.  ``SparseBitMatrix.rank`` splits it into connected
-blocks and eliminates the blocks of one rounded shape in lockstep.
+the certificate d^(2^t - 1) and W = red(d^(q - 1)), the indicator of d != 0
+on GF(q)^4.  ``fermat_power`` writes their codes down directly (the
+expansion has no cancellation), so neither route forms a product;
+``poly_mul`` and ``frobenius`` stay as the general operations, and the
+product of Frobenius copies is the reference route in the tests.  rank(p) is
+the GF(2) rank of the coefficient matrix, rows (e_x1, e_x2) and columns
+(e_y1, e_y2); a code is already that matrix's entry row << 32 | col, so
+``coeff_matrix`` wraps p's array without a copy.  ``SparseBitMatrix.rank``
+splits it into connected blocks and eliminates the blocks of one rounded
+shape in lockstep.
 
-Give x1 and y1 weight 1 and x2 and y2 weight n.  Every monomial of a power
-of d has one total weight, and reduction mod x^q - x keeps it mod q - 1, so
-no block of the coefficient matrix crosses two row weights (two classes mod
-q - 1).  d is symmetric under (x1, x2) <-> (y1, y2), so both matrices equal
-their own transposes, and only a part of the weights has to be ranked:
-``certify_unit_rate`` ranks the rows below half the total weight and
-doubles the rank, and ``storage.graded_ranks`` ranks one class per orbit of
-doubling and negation.  ``fermat_power`` takes keep tables over the row
-weights and writes one part per table, the rows of its weights alone, from
-one generation of the blocks, so no route lists the rest of the power.
-``poly_rank`` of the whole polynomial stays as the general rank and the
-reference the tests hold both against.
+Both are ranked by weight.  Give x1 and y1 weight 1 and x2 and y2 weight n.
+Every monomial of d^(2^t - 1) has weight T = n (2^t - 1), and reduction mod
+x^q - x keeps weights mod q - 1, so every monomial of W has weight 0 mod
+q - 1.  The rows of weight w therefore meet only the columns of weight T - w
+(class -w for W), and the rank is the sum over the row weights.  Two
+symmetries leave most weights unranked.  d is symmetric under
+(x1, x2) <-> (y1, y2), so both matrices equal their own transposes, which
+take row weight w to T - w (class w to -w); and W is a 0/1 function, so
+W = W^2, which takes class w to class 2w.  ``_certificate_rank`` ranks the
+rows below T/2 and doubles the rank, and ``graded_ranks`` ranks one class
+per orbit of w -> 2w and w -> -w on Z/(q - 1), times the orbit size, for W,
+1 + W and D, W substituted (``substitute`` keeps each class and both
+symmetries).  Each writes its parts in ``fermat_power`` calls that take keep
+tables over the row weights, so no route lists the rest of the power, and
+each checks a symmetry by ranking a part it could skip: the high half up to
+HALF_CHECK_T_MAX, and class 2 of W beside class 1.  ``poly_rank``
+of the whole polynomial stays as the general rank and the reference the
+tests hold both against.
 """
 
 from __future__ import annotations
@@ -203,41 +210,40 @@ def fermat_power(
     to the binomial, b to x2 and the rest to y2: x2^b y2^(rest) (x1+y1)^N(r),
     and by Lucas (x1+y1)^N is the sum of x1^j y1^(N - j) over the submasks j
     of N.  The (x2, y2) exponents tell the terms apart, so nothing cancels.
-    N(r) = n r, or with m given ((n r - 1) mod (q - 1)) + 1 (0 at r = 0), its
-    exponent on GF(q).  The size of the whole power is checked before one
+
+    Row weights j + n b live in Z/P, P = n (2^t - 1) + 1 unreduced and
+    P = q - 1 reduced, and N(r) = ((n r - 1) mod P) + 1 for r > 0, N(0) = 0.
+    Reduced, that is the exponent x^(n r) takes on GF(q).  Unreduced,
+    n r <= n (2^t - 1) < P, so the rule never wraps and N(r) = n r.  The
+    largest exponent and the size of the whole power are checked before one
     array is filled.
 
-    keep, a sequence of bool tables over row weights, makes one part per
-    table, in order: the rows (j, b) whose weight w has the table set, w =
-    j + n b (n (2^t - 1) + 1 entries), or (j + (n mod (q - 1)) b) mod (q - 1)
-    when reducing (q - 1 entries).  A table of another length raises
-    ParameterError before any block is listed.  The blocks r are generated
-    twice, however many tables there are: to count each part's codes, then to
-    fill one array of exactly that size per part.  Without keep the whole
-    power is returned, as one SparsePoly.
+    keep, a sequence of bool tables of P entries, makes one part per table,
+    in order: the rows (j, b) whose weight (j + n b) mod P has the table set.
+    A table of another length raises ParameterError before any block is
+    listed.  The blocks r are generated twice, however many tables there
+    are: to count each part's codes, then to fill one array of exactly that
+    size per part.  Without keep the whole power is returned, as one
+    SparsePoly.
     """
     if n < 1 or n % 2 == 0:
         raise ParameterError(f"n={n}: need an odd integer >= 1")
     if t < 1 or m is not None and t > m:
         raise ParameterError(f"t={t}: need t >= 1, and t <= m when reducing")
     full = (1 << t) - 1
-    top = n * full if m is None else (1 << m) - 1
+    period = n * full + 1 if m is None else (1 << m) - 1
+    top = period - 1 if m is None else period  # the largest exponent
     if top > EXP_MAX:  # before anything is listed
         raise BudgetError(f"exponent {top} outside 0..{EXP_MAX}")
-    # row weight j + (n b mod period); unreduced n b <= top, so period = top + 1 leaves it whole
-    weigh, period = np.uint64(n if m is None else n % top), np.uint64(top + 1 if m is None else top)
     if keep is not None and any(len(table) != period for table in keep):
         raise ParameterError(f"a keep table needs {period} entries, one per row weight")
-    if m is None:
-        exps = [n * r for r in range(full + 1)]
-    else:  # top = q - 1; Python ints keep any n exact
-        exps = [0] + [(n % top * r - 1) % top + 1 for r in range(1, full + 1)]
+    exps = [0] + [(n * r - 1) % period + 1 for r in range(1, full + 1)]  # Python ints keep any n exact
     size = sum(1 << (e.bit_count() + t - r.bit_count()) for r, e in enumerate(exps))
     if size > PAIR_BUDGET:
         raise BudgetError(f"d^{full} has {size} monomials, over budget {PAIR_BUDGET}")
     tables = np.array([np.ones(period)] if keep is None else keep, dtype=bool).reshape(-1, period)
-    if m is not None:  # j + (n b mod (q - 1)) < 2 (q - 1): each table is read twice over
-        tables = np.concatenate([tables, tables], axis=1)
+    tables = np.concatenate([tables, tables], axis=1)  # j + (n b mod P) < 2 P: read twice over
+    weigh, period = np.uint64(n % period), np.uint64(period)  # row weight j + (weigh b mod P)
 
     def blocks():  # per r: e = N(r), submasks j of e and b of full ^ r, and the tables at w of each (j, b)
         for r, e in enumerate(exps):
@@ -254,6 +260,67 @@ def fermat_power(
     for codes in parts:
         codes.sort()
     return SparsePoly(parts[0]) if keep is None else [SparsePoly(codes) for codes in parts]
+
+
+def _certificate_rank(n: int, t: int) -> int:
+    """rank(d^(2^t - 1)): twice the rank of its rows of weight below T/2, T = n (2^t - 1).
+
+    The rows of weight w are the transpose of those of weight T - w, and T
+    is odd, so no weight pairs with itself.  Only the low half is generated
+    and ranked; up to HALF_CHECK_T_MAX the rows above T/2 are then generated
+    and ranked as well, and a different rank raises PropertyViolation.
+    """
+    total = n * ((1 << t) - 1)
+    low = 2 * np.arange(total + 1) < total
+    rank = poly_rank(fermat_power(n, t, keep=[low])[0])
+    if t <= HALF_CHECK_T_MAX and (high_rank := poly_rank(fermat_power(n, t, keep=[~low])[0])) != rank:
+        raise PropertyViolation(
+            f"n={n} t={t}: the rows of weight below {total}/2 have rank {rank}, those above {high_rank}"
+        )
+    return 2 * rank
+
+
+def _orbit_parts(m: int) -> list[tuple[int, np.ndarray]]:
+    """The classes mod q - 1 that graded_ranks ranks, as (multiplier, keep) parts.
+
+    The orbit of w under w -> 2w and w -> -w on Z/(q - 1) is {+-2^k w : k < m};
+    each class gets the least element of its orbit, and the orbit size is the
+    number of classes with that least element.  keep is a part's bool table
+    over the classes: class 0 alone, class 1 alone (the self-check compares
+    class 2 with it), then the other least classes grouped by orbit size, the
+    multiplier of their part, in increasing order of size.
+    """
+    period = (1 << m) - 1
+    w = np.arange(period)
+    images = (w << np.arange(m)[:, None]) % period  # 2^k w, one row per k < m
+    least = np.minimum(images, -images % period).min(axis=0)
+    size = np.bincount(least, minlength=period)  # at a least class, the size of its orbit
+    lead = (least == w) & (w > 1)
+    alone = [(1, w == 0)] + ([(int(size[1]), w == 1)] if period > 1 else [])
+    return alone + [(int(s), lead & (size == s)) for s in np.flatnonzero(np.bincount(size[lead]))]
+
+
+def graded_ranks(n: int, m: int) -> tuple[int, int, int]:
+    """rank(1 + W), rank(W) and rank(D) of the member (n, m), ranking one class per orbit.
+
+    W is red(d^(q-1)) and D is W substituted.  Each rank is the sum over the
+    orbits of w -> 2w and w -> -w on Z/(q - 1) of the orbit size times the
+    rank of its least class, and 1 + W differs from W in class 0 alone.  One
+    fermat_power call writes every part of _orbit_parts and class 2 of W,
+    each alone (one keep table per part), so the whole of W is never listed.
+    For m >= 2 a rank of class 2 other than that of class 1 raises
+    PropertyViolation.
+    """
+    period = (1 << m) - 1
+    sizes, keeps = zip(*_orbit_parts(m))
+    *parts, class_2 = fermat_power(n, m, m, [*keeps, np.arange(period) == 2])
+    ranks_w = [poly_rank(p) for p in parts]
+    if period > 1 and (rank_2 := poly_rank(class_2)) != ranks_w[1]:
+        raise PropertyViolation(f"n={n} m={m}: class 2 of W has rank {rank_2}, class 1 {ranks_w[1]}")
+    rank_w = sum(size * rank for size, rank in zip(sizes, ranks_w))
+    rank_h = rank_w - ranks_w[0] + poly_rank(parts[0] + SparsePoly.one())
+    rank_d = sum(size * poly_rank(substitute(p, n, m)) for size, p in zip(sizes, parts))
+    return rank_h, rank_w, rank_d
 
 
 def substitute(p: SparsePoly, n: int, m: int) -> SparsePoly:
@@ -346,28 +413,6 @@ class CertificationResult:
     @property
     def certified(self) -> bool:
         return self.poly_rank < self.threshold
-
-
-def _certificate_rank(n: int, t: int) -> int:
-    """rank(d^(2^t - 1)): twice the rank of its rows of weight below T/2, T = n (2^t - 1).
-
-    d is symmetric under (x1, x2) <-> (y1, y2), so the coefficient matrix of
-    its power is its own transpose.  Every monomial has weight T (x1, y1
-    weigh 1, x2, y2 weigh n), so the rows of weight w meet only the columns
-    of weight T - w, and they are the transpose of the rows of weight T - w.
-    T is odd, so no weight pairs with itself.  Only the low half is
-    generated and ranked; up to HALF_CHECK_T_MAX the rows above T/2 are then
-    generated and ranked as well, and a different rank raises
-    PropertyViolation.
-    """
-    total = n * ((1 << t) - 1)
-    low = 2 * np.arange(total + 1) < total
-    rank = poly_rank(fermat_power(n, t, keep=[low])[0])
-    if t <= HALF_CHECK_T_MAX and (high_rank := poly_rank(fermat_power(n, t, keep=[~low])[0])) != rank:
-        raise PropertyViolation(
-            f"n={n} t={t}: the rows of weight below {total}/2 have rank {rank}, those above {high_rank}"
-        )
-    return 2 * rank
 
 
 def certify_unit_rate(n: int, t_max: int = DEFAULT_T_MAX) -> CertificationResult:

@@ -14,14 +14,9 @@ and d = (x1+y1)^n + x2 + y2:
 H and D come from one zero-set builder: every row holds q zeros of d, or of
 d + x1^n + y1^n for D, one per y1, and D is that matrix complemented.  Both
 raise BudgetError for m >= 8 (over DEFAULT_GRAPH_BUDGET_BITS) before
-allocating.  ``code_report`` ranks H densely and W, D as polynomials
-(``graded_ranks``): W is red(d^(q-1)) (polyf2.fermat_power), and rank(1 + W)
-must equal the dense rank of H; D is W substituted (polyf2.substitute), so
-rank_D = rank_W by construction, and substitution_ok checks that the block
-rank sees it.  The polynomial ranks take one weight class per orbit of
-w -> 2w and w -> -w on Z/(q - 1), times the orbit size, and only those
-classes (and class 2, for a self-check) are ever generated, all in one
-fermat_power call.
+allocating.  ``code_report`` ranks H densely and takes the ranks of W and D,
+and a second rank of H that must agree, from polyf2.graded_ranks; rank_D =
+rank_W by construction, and substitution_ok checks that the block rank sees it.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from .carryfree import count_nm, nm_growth_bound_holds
 from .errors import BudgetError, ParameterError, PropertyViolation
 from .field import GF2m
 from .graphs import DEFAULT_GRAPH_BUDGET_BITS, CayleyGraph, FamilyParams, exponent_r_plus
-from .polyf2 import SparsePoly, fermat_power, poly_rank, substitute
+from .polyf2 import graded_ranks
 
 
 def _zero_set(params: FamilyParams, field: GF2m, relabel: bool) -> BitMatrix:
@@ -129,56 +124,6 @@ class CodeReport:
                 "closed_form_ok": self.closed_form_ok,
             },
         }
-
-
-def _orbit_parts(m: int) -> list[tuple[int, np.ndarray]]:
-    """The classes mod q - 1 that graded_ranks ranks, as (multiplier, keep) parts.
-
-    The orbit of w under w -> 2w and w -> -w on Z/(q - 1) is {+-2^k w : k < m};
-    each class gets the least element of its orbit, and the orbit size is the
-    number of classes with that least element.  keep is a part's bool table
-    over the classes: class 0 alone, class 1 alone (the self-check compares
-    class 2 with it), then the other least classes grouped by orbit size, the
-    multiplier of their part, in increasing order of size.
-    """
-    period = (1 << m) - 1
-    w = np.arange(period)
-    images = (w << np.arange(m)[:, None]) % period  # 2^k w, one row per k < m
-    least = np.minimum(images, -images % period).min(axis=0)
-    size = np.bincount(least, minlength=period)  # at a least class, the size of its orbit
-    lead = (least == w) & (w > 1)
-    alone = [(1, w == 0)] + ([(int(size[1]), w == 1)] if period > 1 else [])
-    return alone + [(int(s), lead & (size == s)) for s in np.flatnonzero(np.bincount(size[lead]))]
-
-
-def graded_ranks(n: int, m: int) -> tuple[int, int, int]:
-    """rank(1 + W), rank(W) and rank(D) of the member (n, m), ranking one class per orbit.
-
-    W is red(d^(q-1)) (polyf2.fermat_power) and D is W substituted
-    (polyf2.substitute).  With x1, y1 of weight 1 and x2, y2 of weight n, a
-    row (e_x1, e_x2) has class w = e_x1 + n e_x2 mod q - 1, and every
-    monomial of W has weight 0 mod q - 1, so the rows of class w meet only
-    the columns of class -w and the rank is the sum over the classes.  W is
-    its own transpose, as d is symmetric under (x1, x2) <-> (y1, y2), which
-    takes class w to class -w; and W is its own square, a 0/1 function,
-    which takes class w to class 2w.  Substitution keeps each class and both
-    symmetries, and 1 + W differs from W in class 0 only.  So the rank is the
-    sum over the orbits of w -> 2w and w -> -w of the orbit size times the
-    rank of its least class.  One fermat_power call writes every part of
-    _orbit_parts and class 2 of W, each alone (one keep table per part), so
-    the whole of W is never listed.  For m >= 2 a rank of class 2 other than
-    that of class 1 raises PropertyViolation.
-    """
-    period = (1 << m) - 1
-    sizes, keeps = zip(*_orbit_parts(m))
-    *parts, class_2 = fermat_power(n, m, m, [*keeps, np.arange(period) == 2])
-    ranks_w = [poly_rank(p) for p in parts]
-    if period > 1 and (rank_2 := poly_rank(class_2)) != ranks_w[1]:
-        raise PropertyViolation(f"n={n} m={m}: class 2 of W has rank {rank_2}, class 1 {ranks_w[1]}")
-    rank_w = sum(size * rank for size, rank in zip(sizes, ranks_w))
-    rank_h = rank_w - ranks_w[0] + poly_rank(parts[0] + SparsePoly.one())
-    rank_d = sum(size * poly_rank(substitute(p, n, m)) for size, p in zip(sizes, parts))
-    return rank_h, rank_w, rank_d
 
 
 def code_report(params: FamilyParams, field: GF2m | None = None) -> CodeReport:

@@ -185,7 +185,7 @@ def graded_part(p: SparsePoly, n: int, keep, period: int | None = None) -> Spars
 
 
 def orbit_parts_by_walk(period: int) -> list[tuple[int, np.ndarray]]:
-    """The (multiplier, keep) parts of storage._orbit_parts, by walking each coset.
+    """The (multiplier, keep) parts of polyf2._orbit_parts, by walking each coset.
 
     Every class not yet seen starts a cyclotomic coset of w -> 2w mod period,
     followed step by step; the coset and its negation are the orbit, its

@@ -150,7 +150,7 @@ def test_code_report_rejects_before_any_product(capsys, monkeypatch, m):
         raise ProductFormed
 
     monkeypatch.setattr(polyf2, "poly_mul", refuse)
-    monkeypatch.setattr(storage, "fermat_power", refuse)
+    monkeypatch.setattr(polyf2, "fermat_power", refuse)
     with pytest.raises(ProductFormed):  # the stub is on the path of a member inside the budget
         storage.code_report(FamilyParams(3, 2))
     code, out, err = run_cli(capsys, "code-report", "--n", "3", "--m", m)
@@ -159,7 +159,8 @@ def test_code_report_rejects_before_any_product(capsys, monkeypatch, m):
 
 
 def test_code_report_exits_4_when_the_rank_routes_disagree(capsys, monkeypatch):
-    monkeypatch.setattr(storage, "poly_rank", lambda p: polyf2.poly_rank(p) + 1)
+    rank = polyf2.poly_rank
+    monkeypatch.setattr(polyf2, "poly_rank", lambda p: rank(p) + 1)
     code, out, err = run_cli(capsys, "code-report", "--n", "3", "--m", "2")
     assert (code, out) == (4, "")
     assert err.startswith("property violation:")

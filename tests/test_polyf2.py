@@ -161,6 +161,31 @@ def test_reduced_fermat_power_and_its_substitution_equal_the_product_route(membe
     assert substitute(got, n, m) == d
 
 
+@pytest.mark.parametrize("n", range(1, 32, 2))
+def test_reduced_powers_that_stay_below_q_minus_1_are_the_unreduced_powers(n):
+    # every t <= 5 and t <= m <= 16 with q - 1 > n (2^t - 1): no exponent n r and
+    # no row weight j + n b reaches q - 1, so the reduced power and its parts are
+    # the unreduced ones, and a keep table padded with False keeps the same rows
+    rng = np.random.default_rng(n)
+    for t in range(1, 6):
+        total = n * ((1 << t) - 1)
+        power, table = fermat_power(n, t), rng.random(total + 1) < 0.5
+        [part] = fermat_power(n, t, keep=[table])
+        for m in range(t, 17):
+            if (1 << m) - 1 > total:
+                padded = np.concatenate([table, np.zeros((1 << m) - 2 - total, dtype=bool)])
+                assert fermat_power(n, t, m) == power, (t, m)
+                assert fermat_power(n, t, m, [padded]) == [part], (t, m)
+
+
+@pytest.mark.parametrize("n, t, m", [
+    (3, 2, 3), (5, 2, 3), (7, 3, 4), (9, 2, 5), (3, 3, 5), (11, 2, 4),
+    (5, 3, 4), (13, 3, 5),
+])
+def test_reduced_powers_at_t_below_m_equal_the_reduced_product_route(n, t, m):
+    assert fermat_power(n, t, m) == reduce_mod(mersenne_power(d_by_binomials(n), t), m)
+
+
 def weights(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Row weights e_x1 + n e_x2 and column weights e_y1 + n e_y2, as Python-int object arrays."""
     x1, x2, y1, y2 = ((codes >> np.uint64(sh)) & np.uint64(polyf2.EXP_MAX) for sh in (48, 32, 16, 0))

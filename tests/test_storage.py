@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from storagecodes import storage
+from storagecodes import polyf2, storage
 from storagecodes.carryfree import count_nm
 from storagecodes.errors import BudgetError, ParameterError, PropertyViolation
 from storagecodes.field import GF2m
 from storagecodes.bitmatrix import BitMatrix
 from storagecodes.graphs import FamilyParams, build_graph
-from storagecodes.polyf2 import SparsePoly, eval_matrix, fermat_power, poly_rank, substitute
+from storagecodes.polyf2 import SparsePoly, eval_matrix, fermat_power, graded_ranks, poly_rank, substitute
 from storagecodes.storage import (
     code_report,
     coset_matrix,
     d_matrix,
-    graded_ranks,
     sample_codewords,
     verify_repair,
     w_matrix,
@@ -207,7 +206,7 @@ def test_code_report_ranks_one_dense_matrix(monkeypatch):
 
 
 def test_code_report_raises_when_the_routes_disagree(monkeypatch):
-    monkeypatch.setattr(storage, "poly_rank", lambda p: poly_rank(p) + 1)
+    monkeypatch.setattr(polyf2, "poly_rank", lambda p: poly_rank(p) + 1)
     with pytest.raises(PropertyViolation, match="dense rank"):
         code_report(FamilyParams(3, 2))
 
@@ -216,7 +215,7 @@ def test_code_report_raises_when_a_class_and_its_double_disagree(monkeypatch):
     def skewed(p):  # one more for class 2 of the member (3, 3) alone
         return poly_rank(p) + ({(e.x1 + 3 * e.x2) % 7 for e in p.monomials()} == {2})
 
-    monkeypatch.setattr(storage, "poly_rank", skewed)
+    monkeypatch.setattr(polyf2, "poly_rank", skewed)
     with pytest.raises(PropertyViolation, match="class 2 of W has rank"):
         code_report(FamilyParams(3, 3))
 
@@ -250,7 +249,7 @@ def test_orbit_ranks_equal_the_full_ranks(member):
 
 @pytest.mark.parametrize("m", range(1, 14))
 def test_orbit_parts_equal_the_coset_walk(m):
-    got, want = storage._orbit_parts(m), orbit_parts_by_walk((1 << m) - 1)
+    got, want = polyf2._orbit_parts(m), orbit_parts_by_walk((1 << m) - 1)
     assert [size for size, _ in got] == [size for size, _ in want]
     assert all(type(size) is int for size, _ in got)
     for (_, keep), (_, table) in zip(got, want):
@@ -260,7 +259,7 @@ def test_orbit_parts_equal_the_coset_walk(m):
 @pytest.mark.parametrize("n, m", [(3, 1), (3, 2), (5, 6), (3, 7)])
 def test_graded_ranks_generate_w_in_one_call(monkeypatch, n, m):
     calls = []
-    monkeypatch.setattr(storage, "fermat_power", lambda *args: calls.append(args) or fermat_power(*args))
+    monkeypatch.setattr(polyf2, "fermat_power", lambda *args: calls.append(args) or fermat_power(*args))
     graded_ranks(n, m)
     assert len(calls) == 1
 
