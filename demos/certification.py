@@ -9,13 +9,16 @@ parity-check rank ratio of the family is forced to zero.
 The search forms no product.  2^t - 1 has all t bits set, so d^(2^t - 1)
 is the product of the t doubled copies d^(2^i), and picking one term from
 each copy never gives two monomials the same (x2, y2) exponents: nothing
-cancels.  ``fermat_power`` writes that closed form down directly, one
-monomial per choice and per submask of the binomial's exponent (Lucas).
-d is symmetric under (x1, x2) <-> (y1, y2), so the matrix is its own
-transpose, and each t is ranked as twice the rank of the rows below half
-the total weight, block by block.  ``fermat_power`` writes those rows
-alone, never the whole power; up to t = 7 the other half is then written
-and ranked too, and must agree.
+cancels.  Each choice gives the x2 and y2 exponents b and c and, per
+submask j of the binomial's exponent (Lucas), one entry in row (j, b).
+With x1 and y1 of weight 1 and x2 and y2 of weight n, a row of weight w
+meets only columns of weight n (2^t - 1) - w, and j = w - n b, so each
+weight class is a block indexed by b and c alone.  The search writes every
+entry as one bit of its class's block, with no monomial codes.  d is
+symmetric under (x1, x2) <-> (y1, y2), so the matrix is its own transpose,
+and each t is ranked as twice the rank of the classes below half the
+total weight; up to t = 7 the other half is written in the same pass and
+ranked too, and must agree.
 """
 
 import time
@@ -37,9 +40,8 @@ for n in (3, 5, 7):
         print(f"  no certificate up to t = {res.t}, {elapsed:.1f}s")
     print()
 
-print("n = 7 needs the full t = 6 expansion (about 16k monomials; the")
-print("coefficient matrix is ~6.4k square, split into 582 blocks of at most")
-print("64 rows or columns, and ranked half of its rows at a time) and")
-print("certifies with rank 3256 = 2 * 1628 against the threshold 4096.  The")
-print("n = 11 and n = 13 runs take under a second; the certify subcommand")
-print("keeps --extended as a guard for them.")
+print("n = 7 needs the full t = 6 expansion (about 16k monomials; its rows")
+print("below half the total weight are ranked one weight class at a time)")
+print("and certifies with rank 3256 = 2 * 1628 against the threshold 4096.")
+print("The n = 11 and n = 13 runs take under a second; the certify")
+print("subcommand keeps --extended as a guard for them.")

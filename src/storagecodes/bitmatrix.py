@@ -37,20 +37,19 @@ occupied rows and columns, in sorted order, onto a dense BitMatrix.
 graph instead: the matrix is block diagonal up to a permutation, so its
 rank is the sum of the block ranks.  The component pass also gives every
 entry its block and its row and column within the block, so no block is
-compacted.  Every block, one-row and one-column blocks included, takes one
-path: the blocks whose shapes round up to the same multiples of 8 are
-packed into one (blocks, rows, words) stack and eliminated in lockstep, one
-Python iteration per column for the whole stack (the halves of the
-certificate coefficient matrices that ``certify`` ranks for n = 11 and 13
-at t = 7 hold 774 and 911 blocks in 32 and 29 stacks).  The component pass
-labels rows and columns in int32, side by side per entry, and each entry's
-int64 bit position in the stacks laid end to end is written over its two
-labels.  Apart from in-place sorts, every pass over the entries or the
-nodes goes ``_CHUNK`` at a time.  So on the certificate matrices, with about 3 rows and columns to
-every 4 entries, ``rank`` holds under 20 bytes per entry besides the 8 of
-the entry itself: a tracemalloc peak of 1.52 MB (18.0 bytes per entry)
-for the 84192 entries of n = 13 at t = 7, and 16.0 bytes per entry for the
-4929984 of the low half at n = 19, t = 10.  The dense ``BitMatrix``
+compacted.  A block of one row or one column has rank 1 and is counted
+without a stack.  The other blocks whose shapes round up to the same
+multiples of 8 are packed into one (blocks, rows, words) stack and
+eliminated in lockstep (``_stack_rank``), one Python iteration per column
+for the whole stack; the certificate route of ``polyf2`` ranks its class
+blocks through the same function.  The component pass labels rows and
+columns in int32, side by side per entry, and each entry's int64 bit
+position in the stacks laid end to end is written over its two labels.
+Apart from in-place sorts, every pass over the entries or the nodes goes
+``_CHUNK`` at a time.  So on certificate coefficient matrices, with about
+3 rows and columns to every 4 entries, ``rank`` holds under 20 bytes per entry
+besides the 8 of the entry itself (tests hold the 84192 entries of n = 13
+at t = 7 and the low half of n = 19 at t = 9).  The dense ``BitMatrix``
 elimination stays separate: it is the independent route that the block
 ranks are checked against.
 """
@@ -408,7 +407,8 @@ class SparseBitMatrix:
 
         Rows and columns in different components share no entry, so permuting
         them makes the matrix block diagonal and the rank is the sum of the
-        block ranks.  Every block is packed, by the row and column indices of
+        block ranks.  A block of one row or one column has rank 1 and takes no
+        stack.  Every other block is packed, by the row and column indices of
         the component pass, into a stack of the blocks of its shape rounded up
         to multiples of 8, and each stack is eliminated in lockstep
         (``_stack_rank``).  The stacks are laid end to end as one bit space, so
@@ -445,8 +445,10 @@ class SparseBitMatrix:
         del label, number
         rows_in = np.bincount(comp[:R], minlength=K)
         cols_in = np.bincount(comp[R:], minlength=K)
-        # blocks: the components in order of shape rounded up to multiples of 8, then of least node
-        shape = ((rows_in + 7) >> 3) << 32 | ((cols_in + 7) >> 3)
+        # blocks: the components in order of shape rounded up to multiples of 8, then of least
+        # node; a component of one row or one column has rank 1 and shape -1, which takes no stack
+        thin = (rows_in == 1) | (cols_in == 1)
+        shape = np.where(thin, -1, ((rows_in + 7) >> 3) << 32 | ((cols_in + 7) >> 3))
         by_shape = np.argsort(shape, kind="stable")
         block = np.empty(K, dtype=np.int32)
         block[by_shape] = np.arange(K, dtype=np.int32)
@@ -462,12 +464,15 @@ class SparseBitMatrix:
         # a stack holds a run of blocks of one shape, found by one scan of the
         # sorted shapes; each block is its rows of whole words.  The stacks span
         # below R * C + 2^40 < 2^61 bits, so positions fit int64.
-        edges = np.flatnonzero(np.diff(shape, prepend=-1, append=-1)).tolist()
+        edges = np.flatnonzero(np.diff(shape, prepend=-2, append=-2)).tolist()
         stacks = []  # (blocks, rows, cols, words, first bit)
         row_bits = np.empty(K, dtype=np.int64)  # bits per row of a block
         first_bit = np.empty(K, dtype=np.int64)  # the first bit of a block
         bit = 0
         for b0, b1 in zip(edges, edges[1:]):
+            if shape[b0] < 0:  # the thin blocks: their entries get negative positions, before every stack
+                row_bits[b0:b1], first_bit[b0:b1] = 0, -(1 << 62)
+                continue
             rows, cols = int(shape[b0] >> 32) << 3, int(shape[b0] & 0xFFFFFFFF) << 3
             words = (cols + WORD - 1) // WORD
             stacks.append((b1 - b0, rows, cols, words, bit))
@@ -486,7 +491,7 @@ class SparseBitMatrix:
         del rc, r, c, row_bit, local
         pos.sort()
         at = np.searchsorted(pos, [s[4] for s in stacks] + [bit]).tolist()
-        total = 0
+        total = int(np.count_nonzero(thin))
         for (blocks, rows, cols, words, start), lo, hi in zip(stacks, at, at[1:]):
             stack = np.zeros((blocks, rows, words), dtype=np.uint64)
             part = pos[lo:hi]

@@ -13,15 +13,16 @@ instead of corrupting neighbours.
 
 The polynomials the toolkit ranks are Fermat powers of d = (x1+y1)^n + x2 + y2:
 the certificate d^(2^t - 1) and W = red(d^(q - 1)), the indicator of d != 0
-on GF(q)^4.  ``fermat_power`` writes their codes down directly (the
-expansion has no cancellation), so neither route forms a product;
-``poly_mul`` and ``frobenius`` stay as the general operations, and the
-product of Frobenius copies is the reference route in the tests.  rank(p) is
-the GF(2) rank of the coefficient matrix, rows (e_x1, e_x2) and columns
-(e_y1, e_y2); a code is already that matrix's entry row << 32 | col, so
-``coeff_matrix`` wraps p's array without a copy.  ``SparseBitMatrix.rank``
-splits it into connected blocks and eliminates the blocks of one rounded
-shape in lockstep.
+on GF(q)^4.  The expansion has no cancellation, so neither route forms a
+product: ``fermat_power`` writes the codes of W down directly, and
+``_certificate_rank`` writes each entry of the certificate as one bit of
+its weight class's block; ``poly_mul`` and ``frobenius`` stay as the
+general operations, and the product of Frobenius copies is the reference
+route in the tests.  rank(p) is the GF(2) rank of the coefficient matrix,
+rows (e_x1, e_x2) and columns (e_y1, e_y2); a code is already that matrix's
+entry row << 32 | col, so ``coeff_matrix`` wraps p's array without a copy.
+``SparseBitMatrix.rank`` splits it into connected blocks and eliminates the
+blocks of one rounded shape in lockstep.
 
 Both are ranked by weight.  Give x1 and y1 weight 1 and x2 and y2 weight n.
 Every monomial of d^(2^t - 1) has weight T = n (2^t - 1), and reduction mod
@@ -35,10 +36,11 @@ W = W^2, which takes class w to class 2w.  ``_certificate_rank`` ranks the
 rows below T/2 and doubles the rank, and ``graded_ranks`` ranks one class
 per orbit of w -> 2w and w -> -w on Z/(q - 1), times the orbit size, for W,
 1 + W and D, W substituted (``substitute`` keeps each class and both
-symmetries).  Each writes its parts in ``fermat_power`` calls that take keep
-tables over the row weights, so no route lists the rest of the power, and
-each checks a symmetry by ranking a part it could skip: the high half up to
-HALF_CHECK_T_MAX, and class 2 of W beside class 1.  ``poly_rank``
+symmetries).  ``graded_ranks`` writes its parts in one ``fermat_power``
+call that takes keep tables over the row weights, and the certificate
+writes only the stacks of its classes, so no route lists the rest of the
+power.  Each checks a symmetry by ranking a part it could skip: the high
+half up to HALF_CHECK_T_MAX, and class 2 of W beside class 1.  ``poly_rank``
 of the whole polynomial stays as the general rank and the reference the
 tests hold both against.
 """
@@ -50,7 +52,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitmatrix import DENSE_BITS, SparseBitMatrix
+from .bitmatrix import DENSE_BITS, WORD, SparseBitMatrix, _stack_rank
 from .errors import BudgetError, ParameterError, PropertyViolation
 from .field import FieldMatrix, GF2m
 
@@ -58,7 +60,7 @@ EXP_BITS = 16
 EXP_MAX = (1 << EXP_BITS) - 1
 _SHIFTS = (48, 32, 16, 0)  # x1, x2, y1, y2
 
-#: cap on the codes one product (its monomial pairs) or one fermat_power forms
+#: cap on the codes one product (its monomial pairs) or one Fermat power forms
 PAIR_BUDGET = 10 ** 8
 
 #: default cap on certification exponents
@@ -67,8 +69,12 @@ DEFAULT_T_MAX = 8
 #: certify_unit_rate ranks both halves of d^(2^t - 1), and compares them, up to this t
 HALF_CHECK_T_MAX = 7
 
+#: stack bits of the class blocks that _certificate_rank fills and ranks at a time (64 MiB)
+CLASS_BITS = 1 << 29
+
 _EVAL_LOOKUPS = 1 << 31  # cap on the table lookups of one eval_matrix
 _RUN_CHUNK = 1 << 14  # codes per pass of the run scan in _xor_reduce
+_BATCH = 1 << 11  # the fewest entries the batch buffer of _power_entries holds
 
 
 class Monomial(NamedTuple):
@@ -200,6 +206,27 @@ def _submasks(mask: int) -> np.ndarray:
     return out
 
 
+def _binomial_exponents(n: int, t: int, m: int | None = None) -> tuple[int, list[int]]:
+    """The period P of the row weights and N(r) for r = 0..2^t - 1, after the parameter and exponent checks."""
+    if n < 1 or n % 2 == 0:
+        raise ParameterError(f"n={n}: need an odd integer >= 1")
+    if t < 1 or m is not None and t > m:
+        raise ParameterError(f"t={t}: need t >= 1, and t <= m when reducing")
+    full = (1 << t) - 1
+    period = n * full + 1 if m is None else (1 << m) - 1
+    top = period - 1 if m is None else period  # the largest exponent
+    if top > EXP_MAX:  # before anything is listed
+        raise BudgetError(f"exponent {top} outside 0..{EXP_MAX}")
+    return period, [0] + [(n * r - 1) % period + 1 for r in range(1, full + 1)]  # Python ints keep any n exact
+
+
+def _check_size(t: int, exps: list[int]) -> None:
+    """Raise BudgetError if d^(2^t - 1), with binomial exponents exps, has over PAIR_BUDGET monomials."""
+    size = sum(1 << (e.bit_count() + t - r.bit_count()) for r, e in enumerate(exps))
+    if size > PAIR_BUDGET:
+        raise BudgetError(f"d^{len(exps) - 1} has {size} monomials, over budget {PAIR_BUDGET}")
+
+
 def fermat_power(
     n: int, t: int, m: int | None = None, keep: Sequence[np.ndarray] | None = None
 ) -> SparsePoly | list[SparsePoly]:
@@ -226,21 +253,11 @@ def fermat_power(
     size per part.  Without keep the whole power is returned, as one
     SparsePoly.
     """
-    if n < 1 or n % 2 == 0:
-        raise ParameterError(f"n={n}: need an odd integer >= 1")
-    if t < 1 or m is not None and t > m:
-        raise ParameterError(f"t={t}: need t >= 1, and t <= m when reducing")
-    full = (1 << t) - 1
-    period = n * full + 1 if m is None else (1 << m) - 1
-    top = period - 1 if m is None else period  # the largest exponent
-    if top > EXP_MAX:  # before anything is listed
-        raise BudgetError(f"exponent {top} outside 0..{EXP_MAX}")
+    period, exps = _binomial_exponents(n, t, m)
     if keep is not None and any(len(table) != period for table in keep):
         raise ParameterError(f"a keep table needs {period} entries, one per row weight")
-    exps = [0] + [(n * r - 1) % period + 1 for r in range(1, full + 1)]  # Python ints keep any n exact
-    size = sum(1 << (e.bit_count() + t - r.bit_count()) for r, e in enumerate(exps))
-    if size > PAIR_BUDGET:
-        raise BudgetError(f"d^{full} has {size} monomials, over budget {PAIR_BUDGET}")
+    _check_size(t, exps)
+    full = (1 << t) - 1
     tables = np.array([np.ones(period)] if keep is None else keep, dtype=bool).reshape(-1, period)
     tables = np.concatenate([tables, tables], axis=1)  # j + (n b mod P) < 2 P: read twice over
     weigh, period = np.uint64(n % period), np.uint64(period)  # row weight j + (weigh b mod P)
@@ -266,18 +283,222 @@ def _certificate_rank(n: int, t: int) -> int:
     """rank(d^(2^t - 1)): twice the rank of its rows of weight below T/2, T = n (2^t - 1).
 
     The rows of weight w are the transpose of those of weight T - w, and T
-    is odd, so no weight pairs with itself.  Only the low half is generated
-    and ranked; up to HALF_CHECK_T_MAX the rows above T/2 are then generated
-    and ranked as well, and a different rank raises PropertyViolation.
+    is odd, so no weight pairs with itself.  A row (j, b) of weight w has
+    j = w - n b, so in class w a row is fixed by b and a column by its y2
+    exponent c, with r = full ^ b ^ c:
+
+        M_w[b, c] = [b & c = 0] [w - n b >= 0] [(w - n b) submask of n (full ^ b ^ c)]
+
+    No code is formed.  A count pass over the entries (``_power_entries``)
+    marks the occupied rows (w, b) and columns (w, c), one bit each
+    (``_Keys``); the local index of a row or column in its class is the
+    number of marks of the class below it.  Each class is one block, laid
+    out with its longer side as rows once it is wider than a word, and the
+    blocks of one shape rounded up to multiples of 8 form a stack
+    (``_shapes``, ``_ClassBlocks``).  The classes, in order of shape, go in
+    buckets of at most CLASS_BITS stack bits (``_buckets``).  Per bucket a
+    fill pass writes every entry as one bit of its stack and ``_half_rank``
+    ranks the stacks.  Up to HALF_CHECK_T_MAX
+    the same passes also write the rows above T/2, each class T - w as the
+    transpose of class w, with marks of their own, and a different rank of
+    that half raises PropertyViolation.  The exponent cap and PAIR_BUDGET
+    are checked first, as by ``fermat_power``.
     """
+    _, exps = _binomial_exponents(n, t)
+    _check_size(t, exps)
     total = n * ((1 << t) - 1)
-    low = 2 * np.arange(total + 1) < total
-    rank = poly_rank(fermat_power(n, t, keep=[low])[0])
-    if t <= HALF_CHECK_T_MAX and (high_rank := poly_rank(fermat_power(n, t, keep=[~low])[0])) != rank:
+    classes = total // 2 + 1  # the row weights w of the low half, 2 w < T
+    halves = (False, True) if t <= HALF_CHECK_T_MAX else (False,)  # is the half the high one
+    keys = [(_Keys(classes, t), _Keys(classes, t)) for _ in halves]  # its rows and its columns
+    slot = np.full(total + 1, -1, dtype=np.int64)  # the place of a class in its pass, or -1
+    slot[:classes] = np.arange(classes)
+    for batch in _power_entries(n, t, exps):
+        for high, (rows, cols) in zip(halves, keys):
+            cls, _, row, col = _half_entries(batch, total, high, slot)
+            rows.mark(cls, row)
+            cols.mark(cls, col)
+    for rows, cols in keys:
+        rows.index()
+        cols.index()
+    ranks = [0] * len(halves)
+    for bucket in _buckets(keys[0][0].sizes, keys[0][1].sizes):
+        slot.fill(-1)
+        slot[bucket] = np.arange(bucket.size)
+        blocks = [_ClassBlocks(rows.sizes[bucket], cols.sizes[bucket]) for rows, cols in keys]
+        for batch in _power_entries(n, t, exps):
+            for high, (rows, cols), half in zip(halves, keys, blocks):
+                cls, k, row, col = _half_entries(batch, total, high, slot)
+                half.fill(k, rows.local(cls, row), cols.local(cls, col))
+        for h, half in enumerate(blocks):
+            ranks[h] += _half_rank(half.stacks())
+        del blocks  # before the next bucket's are allocated
+    if len(ranks) > 1 and ranks[1] != ranks[0]:
         raise PropertyViolation(
-            f"n={n} t={t}: the rows of weight below {total}/2 have rank {rank}, those above {high_rank}"
+            f"n={n} t={t}: the rows of weight below {total}/2 have rank {ranks[0]}, those above {ranks[1]}"
         )
-    return 2 * rank
+    return 2 * ranks[0]
+
+
+def _power_entries(n: int, t: int, exps: list[int]):
+    """The entries of d^(2^t - 1), r-block by r-block as ``fermat_power`` lists them, in batches.
+
+    A batch is a (3, entries) int64 view (w, b, c): the row weight
+    w = j + n b over the submasks j of N(r) and b of full ^ r, b, and the
+    y2 exponent c = full ^ r ^ b of the column.  Blocks are cut into slices
+    of whole j and written into one buffer, which the next batch
+    overwrites, of max(_BATCH, 2^(t + 3)) entries: eight times the widest
+    slice, so that the work per batch grows with the blocks while the
+    buffer stays small beside the class blocks.  The exponents are
+    checked, so every value fits int64.
+    """
+    full = (1 << t) - 1
+    batch = np.empty((3, max(_BATCH, 8 << t)), dtype=np.int64)
+    size = 0
+    for r, e in enumerate(exps):
+        j, b = _submasks(e).astype(np.int64), _submasks(full ^ r).astype(np.int64)
+        step = batch.shape[1] // b.size  # the j of one slice
+        for k in range(0, j.size, step):
+            rows = min(step, j.size - k)
+            if size + rows * b.size > batch.shape[1]:
+                yield batch[:, :size]
+                size = 0
+            w, bs, cs = batch[:, size : size + rows * b.size].reshape(3, rows, b.size)
+            np.add(j[k : k + rows, None], n * b, out=w)
+            bs[:] = b
+            cs[:] = full ^ r ^ b
+            size += rows * b.size
+    yield batch[:, :size]
+
+
+def _half_entries(batch, total: int, high: bool, slot: np.ndarray):
+    """(class, its slot, row key, column key) of the batch's entries in one half, in slotted classes.
+
+    The low half keys an entry by its row weight w, b and c.  The high half
+    keys it as its transpose: class T - w, row key c and column key b, so
+    that, by the symmetry, both halves have the same classes and shapes.
+    slot has T + 1 entries, -1 at every class above T/2 and outside the pass.
+    """
+    w, b, c = batch
+    cls, row, col = (total - w, c, b) if high else (w, b, c)
+    k = slot[cls]
+    kept = k >= 0
+    return cls[kept], k[kept], row[kept], col[kept]
+
+
+def _set_bits(words: np.ndarray, pos: np.ndarray) -> None:
+    """Set bit pos & 63 of words[pos >> 6] for every position in pos."""
+    np.bitwise_or.at(words, pos >> 6, np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64)))
+
+
+class _Keys:
+    """The occupied (class, key) pairs of one side of a half, one bit at class << t | key each.
+
+    ``mark`` sets bits.  ``index`` then counts the marks before every word
+    and every class, so that the local index of a key, its place among the
+    keys of its class, is the number of marks from the class's first bit to
+    its own, and ``sizes`` is the number of keys of each class.
+    """
+
+    def __init__(self, classes: int, t: int):
+        self.t, self.classes = t, classes
+        self.bits = np.zeros(((classes << t) >> 6) + 1, dtype=np.uint64)  # a spare word for the end
+
+    def mark(self, cls: np.ndarray, key: np.ndarray) -> None:
+        _set_bits(self.bits, cls << self.t | key)
+
+    def index(self) -> None:
+        counts = np.bitwise_count(self.bits)
+        self.before = np.cumsum(counts, dtype=np.int32) - counts  # the marks before each word, < PAIR_BUDGET
+        self.first = self._below(np.arange(self.classes + 1, dtype=np.int64) << self.t).astype(np.int64)
+        self.sizes = np.diff(self.first)
+
+    def _below(self, pos: np.ndarray) -> np.ndarray:
+        word = pos >> 6
+        low = np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64)) - np.uint64(1)
+        return self.before[word] + np.bitwise_count(self.bits[word] & low)
+
+    def local(self, cls: np.ndarray, key: np.ndarray) -> np.ndarray:
+        return self._below(cls << self.t | key) - self.first[cls]
+
+
+def _shapes(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(flip, shape) of class blocks with the given numbers of rows and columns.
+
+    A block is flipped, its columns laid out as rows, when it has more
+    columns than rows and more than one word of them: its stack then takes
+    one column iteration per row, not per column.  A block of at most 64
+    columns takes one word per row either way, and flipping it would only
+    add padded rows.  shape is the laid-out rows << 32 | columns, both in
+    multiples of 8, rounded up.
+    """
+    flip = cols > np.maximum(rows, WORD)
+    tall, wide = np.where(flip, cols, rows), np.where(flip, rows, cols)
+    return flip, (tall + 7 >> 3) << 32 | (wide + 7 >> 3)
+
+
+def _buckets(rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """The classes in order of block shape, cut into runs of at most CLASS_BITS stack bits, or one class.
+
+    A block takes its laid-out rows, rounded up to 8, times whole words of
+    its columns.  Cutting the shape order, not the weight order, splits at
+    most one stack per cut.
+    """
+    shape = _shapes(rows, cols)[1]
+    order = np.argsort(shape, kind="stable")
+    order = order[shape[order] > 0]  # the classes with entries
+    shape = shape[order]
+    cum = np.cumsum((shape >> 32 << 3) * ((shape & 0xFFFFFFFF) + 7 >> 3 << 6))
+    buckets, lo = [], 0
+    while lo < order.size:
+        base = int(cum[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(cum, base + CLASS_BITS, side="right")), lo + 1)
+        buckets.append(order[lo:hi])
+        lo = hi
+    return buckets
+
+
+class _ClassBlocks:
+    """The blocks of classes with the given numbers of rows and columns, as stacks in one bit array.
+
+    A flipped class has its columns as the rows of its block (``_shapes``).
+    The blocks of one shape form a stack, each block its rows of whole
+    words, and the stacks lie end to end in ``bits``.  ``fill`` sets the
+    entries of the k-th class at local (row, column).
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray):
+        self.flip, shape = _shapes(rows, cols)
+        order = np.argsort(shape, kind="stable")
+        shape = shape[order]
+        edges = np.flatnonzero(np.diff(shape, prepend=-1, append=-1)).tolist()
+        self.first_bit = np.zeros(rows.size, dtype=np.int64)
+        self.row_bits = np.zeros(rows.size, dtype=np.int64)
+        self.layout = []  # per stack: (first word, blocks, rows, words, columns)
+        bit = 0
+        for b0, b1 in zip(edges, edges[1:]):
+            tall, wide = int(shape[b0] >> 32) << 3, int(shape[b0] & 0xFFFFFFFF) << 3
+            words = -(-wide // WORD)
+            self.first_bit[order[b0:b1]] = bit + np.arange(b1 - b0) * (tall * words * WORD)
+            self.row_bits[order[b0:b1]] = words * WORD
+            self.layout.append((bit // WORD, b1 - b0, tall, words, wide))
+            bit += (b1 - b0) * tall * words * WORD
+        self.bits = np.zeros(bit // WORD, dtype=np.uint64)
+
+    def fill(self, k: np.ndarray, row: np.ndarray, col: np.ndarray) -> None:
+        f = self.flip[k]
+        _set_bits(self.bits, self.first_bit[k] + np.where(f, col, row) * self.row_bits[k] + np.where(f, row, col))
+
+    def stacks(self) -> list[tuple[np.ndarray, int]]:
+        """Each stack as a (blocks, rows, words) view of the bits, with its column count."""
+        return [
+            (self.bits[start : start + blocks * rows * words].reshape(blocks, rows, words), cols)
+            for start, blocks, rows, words, cols in self.layout
+        ]
+
+
+def _half_rank(stacks: list[tuple[np.ndarray, int]]) -> int:
+    """The summed rank of the blocks of every stack: one half, or one bucket of it."""
+    return sum(_stack_rank(stack, cols) for stack, cols in stacks)
 
 
 def _orbit_parts(m: int) -> list[tuple[int, np.ndarray]]:
@@ -420,11 +641,14 @@ def certify_unit_rate(n: int, t_max: int = DEFAULT_T_MAX) -> CertificationResult
 
     Stops at the first certifying t.  n = 1 is allowed here (the degenerate
     base certifies immediately at t = 1); the graph family itself starts at
-    n = 3.  Each rank is twice that of the power's low half
-    (``_certificate_rank``); up to ``HALF_CHECK_T_MAX`` the high half is
-    ranked too, and halves of different rank raise PropertyViolation.  A
-    power over ``PAIR_BUDGET`` codes or past the exponent cap raises
-    BudgetError, which carries the ranks already computed in ``trace``.
+    n = 3.  Each rank is twice that of the power's low half, written
+    straight into the bit blocks of its weight classes and ranked class by
+    class, with no code array (``_certificate_rank``); up to
+    ``HALF_CHECK_T_MAX`` the high half is ranked too, and halves of
+    different rank raise PropertyViolation.  A power over ``PAIR_BUDGET``
+    monomials or past the exponent cap raises BudgetError before any entry
+    is listed, and the error carries the ranks already computed in
+    ``trace``.
     """
     if t_max < 1:
         raise ParameterError("t_max must be a positive integer")
@@ -440,3 +664,4 @@ def certify_unit_rate(n: int, t_max: int = DEFAULT_T_MAX) -> CertificationResult
     # the rank at i = 0 (the constant polynomial) is 1; only a certifying row has rank < threshold
     c_constant = max([1] + [rank for _, rank, threshold in trace if rank >= threshold])
     return CertificationResult(n=n, trace=tuple(trace), c_constant=c_constant)
+

@@ -184,6 +184,21 @@ def graded_part(p: SparsePoly, n: int, keep, period: int | None = None) -> Spars
     return SparsePoly(codes[np.array([bool(keep[w]) for w in rows], dtype=bool)])
 
 
+def certificate_rank_by_components(n: int, t: int) -> int:
+    """rank(d^(2^t - 1)) by the codes: both halves as fermat_power parts, each through poly_rank.
+
+    The halves are the rows of weight below and above T/2, T = n (2^t - 1);
+    each is ranked by the components of its coefficient matrix, and they
+    must agree.  It calls polyf2.fermat_power and polyf2.poly_rank through
+    the module, so stubs on either reach it.
+    """
+    total = n * ((1 << t) - 1)
+    low = 2 * np.arange(total + 1) < total
+    rank, high = (polyf2.poly_rank(part) for part in polyf2.fermat_power(n, t, keep=[low, ~low]))
+    assert rank == high, (n, t, rank, high)
+    return 2 * rank
+
+
 def orbit_parts_by_walk(period: int) -> list[tuple[int, np.ndarray]]:
     """The (multiplier, keep) parts of polyf2._orbit_parts, by walking each coset.
 

@@ -334,13 +334,13 @@ def test_certify_full_run_for_n7(capsys):
 
 
 def test_certify_exits_4_when_the_halves_disagree(capsys, monkeypatch):
-    ranks, rank = [], polyf2.poly_rank  # the low half is ranked first, then the high half, at each t
+    ranks, rank = [], polyf2._half_rank  # the low half is ranked first, then the high half, at each t
 
-    def skewed(p):
-        ranks.append(rank(p))
+    def skewed(stacks):
+        ranks.append(rank(stacks))
         return ranks[-1] + (len(ranks) % 2 == 0)
 
-    monkeypatch.setattr(polyf2, "poly_rank", skewed)
+    monkeypatch.setattr(polyf2, "_half_rank", skewed)
     code, out, err = run_cli(capsys, "certify", "--n", "7", "--t-max", "6")
     assert (code, out) == (4, "")
     assert err.startswith("property violation:")
@@ -372,7 +372,7 @@ def test_certify_has_no_budget_option(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise ProductFormed
 
-    monkeypatch.setattr(polyf2, "fermat_power", refuse)
+    monkeypatch.setattr(polyf2, "_certificate_rank", refuse)
     with pytest.raises(ProductFormed):  # the stub is on the path of the run without --budget
         main(["certify", "--n", "7", "--t-max", "3"])
     with pytest.raises(SystemExit) as exc:  # an argparse usage error

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from storagecodes import polyf2
+from storagecodes.bitmatrix import SparseBitMatrix
 from storagecodes.errors import BudgetError, ParameterError, PropertyViolation
 from storagecodes.field import GF2m
 from storagecodes.graphs import FamilyParams
@@ -24,6 +25,7 @@ from storagecodes.polyf2 import (
 from storagecodes.storage import code_report, coset_matrix, d_matrix, w_matrix
 
 from oracles import (
+    certificate_rank_by_components,
     d_by_binomials,
     fermat_indicators,
     graded_part,
@@ -222,10 +224,13 @@ def test_reduced_powers_are_their_own_transposes(member):
     assert ((rows + cols) % ((1 << m) - 1) == 0).all()
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 31).map(lambda k: 2 * k + 1), st.integers(1, 6))
-def test_halved_certificate_rank_equals_the_full_rank(n, t):
-    assert polyf2._certificate_rank(n, t) == poly_rank(fermat_power(n, t))
+def test_halved_certificate_rank_equals_the_full_rank():
+    # the class route against the component route on the two fermat_power
+    # halves and against the block rank of the whole power
+    for n in range(1, 32, 2):
+        for t in range(1, 7):
+            rank = polyf2._certificate_rank(n, t)
+            assert rank == certificate_rank_by_components(n, t) == poly_rank(fermat_power(n, t)), (n, t)
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -274,20 +279,45 @@ def test_keep_tables_of_the_wrong_length_are_rejected_before_listing_terms(monke
 
 
 def test_certify_raises_when_the_halves_disagree(monkeypatch):
-    def skewed(p):  # one more for the rows of d = (x1+y1)^7 + x2 + y2 of weight above 7/2
-        return poly_rank(p) + any(2 * (e.x1 + 7 * e.x2) > 7 for e in p.monomials())
+    ranks, half_rank = [], polyf2._half_rank  # the low half is ranked first, then the high half
 
-    monkeypatch.setattr(polyf2, "poly_rank", skewed)
+    def skewed(stacks):  # one more for the rows of d = (x1+y1)^7 + x2 + y2 of weight above 7/2
+        ranks.append(half_rank(stacks))
+        return ranks[-1] + (len(ranks) == 2)
+
+    monkeypatch.setattr(polyf2, "_half_rank", skewed)
     with pytest.raises(PropertyViolation, match="rows of weight below 7/2 have rank 4, those above 5"):
         certify_unit_rate(7, t_max=1)
+    assert ranks == [4, 4]
 
 
 def test_certify_ranks_both_halves_only_up_to_the_check_limit(monkeypatch):
-    calls = []
-    monkeypatch.setattr(polyf2, "poly_rank", lambda p: calls.append(p) or poly_rank(p))
+    calls, half_rank = [], polyf2._half_rank
+    monkeypatch.setattr(polyf2, "_half_rank", lambda stacks: calls.append(stacks) or half_rank(stacks))
     monkeypatch.setattr(polyf2, "HALF_CHECK_T_MAX", 2)
     assert certify_unit_rate(7, t_max=3).trace == ((1, 8, 4), (2, 24, 16), (3, 64, 64))
     assert len(calls) == 5  # low and high half at t = 1 and 2, the low half alone at t = 3
+
+
+def test_certify_needs_no_codes_and_no_component_pass(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the certificate formed codes or ranked them by components")
+
+    monkeypatch.setattr(polyf2, "fermat_power", refuse)
+    monkeypatch.setattr(polyf2, "poly_rank", refuse)
+    monkeypatch.setattr(SparseBitMatrix, "rank", refuse)
+    with pytest.raises(AssertionError):  # the stubs are on the component route
+        certificate_rank_by_components(7, 2)
+    assert certify_unit_rate(13, 7).trace[-1] == (7, 14442, 16384)
+
+
+def test_certify_splits_its_classes_into_buckets_of_the_same_rank(monkeypatch):
+    # a cap of one class block per bucket fills and ranks every class alone
+    calls, half_rank = [], polyf2._half_rank
+    monkeypatch.setattr(polyf2, "_half_rank", lambda stacks: calls.append(len(stacks)) or half_rank(stacks))
+    monkeypatch.setattr(polyf2, "CLASS_BITS", 1)
+    assert polyf2._certificate_rank(11, 5) == 1198
+    assert len(calls) == 2 * 171 and set(calls) == {1}  # two halves of the 171 classes below 11 * 31 / 2
 
 
 @pytest.mark.parametrize("n", [3, 5, 2 ** 70 + 1])
@@ -748,13 +778,17 @@ def test_certify_trace_regression_n11_n13(n, ranks):
 
 
 @pytest.mark.extended
-def test_certify_trace_n19_to_t10():
-    # past the benchmark's sizes: about 9-10 s and 0.23 GB peak RSS on a 2-core
-    # host; the t = 10 power holds 9.86M entries, and the half that is ranked 4.93M
-    ranks = (8, 34, 170, 620, 2000, 6896, 23890, 85350, 302074, 1093896)
-    res = certify_unit_rate(19, t_max=10)
-    assert res.trace == tuple((t, rank, 4 ** t) for t, rank in enumerate(ranks, start=1))
-    assert not res.certified and res.poly_rank >= 4 ** 10
+@pytest.mark.parametrize("n, ranks", [
+    (19, (8, 34, 170, 620, 2000, 6896, 23890, 85350, 302074, 1093896, 3961632)),
+    (25, (8, 34, 194, 630, 1948, 6326, 21748, 81058, 311612, 1158034, 4044126)),
+])
+def test_certify_traces_to_t11(n, ranks):
+    # past the benchmark's sizes, and neither n is 2^r + 1: both certify at
+    # t = 11 alone.  The t = 11 low halves hold 22039424 and 22791936 entries
+    ranks = tuple((t, rank, 4 ** t) for t, rank in enumerate(ranks, start=1))
+    res = certify_unit_rate(n, t_max=11)
+    assert res.trace == ranks
+    assert res.certified and res.t == 11 and res.c_constant == ranks[-2][1]
 
 
 def test_product_of_the_n13_t7_power_reduces_its_pairs_in_place():
@@ -776,6 +810,15 @@ def test_certify_n13_ranks_half_of_each_power():
     res, peak = traced_peak(certify_unit_rate, 13, 7)
     assert res.trace[-1] == (7, 14442, 16384)
     assert peak <= 1_360_000
+
+
+def test_certify_n13_holds_the_class_blocks_of_both_halves():
+    # each half of the t = 7 power is 0.11 MB of class blocks, filled from
+    # batches of 2048 entries beside the row and column marks of both halves;
+    # the run peaks at 0.59 MB, and the cap sits 10% above that
+    res, peak = traced_peak(certify_unit_rate, 13, 7)
+    assert res.trace[-1] == (7, 14442, 16384)
+    assert peak <= 651_000
 
 
 def test_block_rank_of_the_n13_t7_power_holds_int32_labels():
