@@ -783,8 +783,8 @@ def test_certify_trace_regression_n11_n13(n, ranks):
     (25, (8, 34, 194, 630, 1948, 6326, 21748, 81058, 311612, 1158034, 4044126)),
 ])
 def test_certify_traces_to_t11(n, ranks):
-    # past the benchmark's sizes, and neither n is 2^r + 1: both certify at
-    # t = 11 alone.  The t = 11 low halves hold 22039424 and 22791936 entries
+    # past the benchmark's sizes, and neither n is 2^r + 1: both first certify
+    # at t = 11, where the low halves hold 22039424 and 22791936 entries
     ranks = tuple((t, rank, 4 ** t) for t, rank in enumerate(ranks, start=1))
     res = certify_unit_rate(n, t_max=11)
     assert res.trace == ranks
