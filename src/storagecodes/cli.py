@@ -12,26 +12,64 @@ verify-all streams its claim lines itself and returns its exit code.
 Exit codes: 0 success, 2 parameter error, 3 budget error, 4 violated
 invariant or failed verification claim.  ``code-report`` exits 4 when its
 rank routes disagree, ``certify`` when the two halves of a power do.
+
+A command loads only the modules it uses.  Importing this module, building
+the parser and parsing load none of the computing modules and no numpy:
+the modules whose functions the handlers call are registered unrun
+(``_lazy``) and run on the handler's first attribute read, and a handler
+that needs ``GF2m`` imports it in its first line.  Handlers read functions
+as module attributes at call time, so a patched or wrapped function is the
+one they call.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib.util
 import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import __version__, carryfree, graphs, polyf2, storage, verification
+from . import __version__
 from .errors import BudgetError, ParameterError, PropertyViolation
-from .field import GF2m
-from .graphs import FamilyParams
+
+if TYPE_CHECKING:
+    from .field import GF2m
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
 EXIT_BUDGET = 3
 EXIT_PROPERTY = 4
+
+
+def _lazy(name: str):
+    """The submodule ``name``, in sys.modules and run on its first attribute read.
+
+    This is the lazy import of the importlib documentation, plus the
+    package attribute a normal import sets.  An import statement for the
+    module reads its ``__spec__``, so it runs the module as usual.  Unlike
+    an import inside each handler, it puts the module in sys.modules as
+    soon as this module is imported, where a tool that wraps the package's
+    functions before calling ``main`` (bench/spans.py) finds it.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+carryfree, graphs, polyf2, storage, verification = map(
+    _lazy, ("carryfree", "graphs", "polyf2", "storage", "verification")
+)
 
 
 def _meta(field: GF2m | None = None, **params) -> dict:
@@ -50,6 +88,8 @@ def _open_output(path: str):
 
 
 def cmd_field_info(args, files) -> dict:
+    from .field import GF2m
+
     field = GF2m(args.m)
     terms = [i for i in range(args.m, -1, -1) if (field.modulus >> i) & 1]
     return {
@@ -86,7 +126,9 @@ def cmd_nm_table(args, files) -> dict | str:
 
 
 def cmd_graph(args, files) -> dict:
-    params = FamilyParams(args.n, args.m)
+    from .field import GF2m
+
+    params = graphs.FamilyParams(args.n, args.m)
     field = GF2m(args.m)
     g = graphs.build_graph(params, field)
     doc = {
@@ -113,7 +155,9 @@ def cmd_graph(args, files) -> dict:
 
 
 def cmd_code_report(args, files) -> dict | str:
-    params = FamilyParams(args.n, args.m)
+    from .field import GF2m
+
+    params = graphs.FamilyParams(args.n, args.m)
     field = GF2m(args.m)
     report = storage.code_report(params, field)
     doc = report.to_json_dict()
@@ -138,6 +182,8 @@ def cmd_code_report(args, files) -> dict | str:
 
 
 def cmd_certify(args, files) -> dict:
+    if args.t_max is None:
+        args.t_max = polyf2.DEFAULT_T_MAX
     polyf2.fermat_power(args.n, 1)  # a bad n is reported with its own error, ahead of the --extended gate
     if args.n >= 11 and args.t_max >= 7 and not args.extended:
         raise BudgetError(
@@ -166,7 +212,8 @@ def cmd_certify(args, files) -> dict:
 
 
 def cmd_verify_all(args, files) -> int:
-    results = verification.run_all(args.budget, seed=args.seed, sink=sys.stdout)
+    seed = verification.DEFAULT_SEED if args.seed is None else args.seed
+    results = verification.run_all(args.budget, seed=seed, sink=sys.stdout)
     failed = [r for r in results if not r.ok]
     sys.stdout.write(
         f"{len(results) - len(failed)}/{len(results)} claims pass at budget '{args.budget}'\n"
@@ -213,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="search for the first certifying exponent")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t-max", type=int, default=polyf2.DEFAULT_T_MAX)
+    p.add_argument("--t-max", type=int, default=None)  # cmd_certify reads polyf2.DEFAULT_T_MAX
     p.add_argument("--extended", action="store_true", help="allow the long n >= 11 runs")
     p.add_argument("--output", default=None)
     p.set_defaults(handler=cmd_certify)
 
     p = sub.add_parser("verify-all", help="run the verification claims")
-    p.add_argument("--budget", choices=verification.BUDGETS, default="full")
-    p.add_argument("--seed", type=int, default=verification.DEFAULT_SEED,
+    p.add_argument("--budget", choices=("full", "extended"), default="full")  # = verification.BUDGETS
+    p.add_argument("--seed", type=int, default=None,
                    help="seed for the randomised claims")
     p.set_defaults(handler=cmd_verify_all)
 

@@ -48,13 +48,15 @@ tests hold both against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .bitmatrix import DENSE_BITS, WORD, SparseBitMatrix, _stack_rank
 from .errors import BudgetError, ParameterError, PropertyViolation
-from .field import FieldMatrix, GF2m
+
+if TYPE_CHECKING:
+    from .field import FieldMatrix, GF2m
 
 EXP_BITS = 16
 EXP_MAX = (1 << EXP_BITS) - 1
@@ -301,8 +303,9 @@ def _certificate_rank(n: int, t: int) -> int:
     ranks the stacks.  Up to HALF_CHECK_T_MAX
     the same passes also write the rows above T/2, each class T - w as the
     transpose of class w, with marks of their own, and a different rank of
-    that half raises PropertyViolation.  The exponent cap and PAIR_BUDGET
-    are checked first, as by ``fermat_power``.
+    that half raises PropertyViolation.  Past it the passes list little more
+    than the low half.  The exponent cap and PAIR_BUDGET are checked first,
+    as by ``fermat_power``.
     """
     _, exps = _binomial_exponents(n, t)
     _check_size(t, exps)
@@ -312,7 +315,8 @@ def _certificate_rank(n: int, t: int) -> int:
     keys = [(_Keys(classes, t), _Keys(classes, t)) for _ in halves]  # its rows and its columns
     slot = np.full(total + 1, -1, dtype=np.int64)  # the place of a class in its pass, or -1
     slot[:classes] = np.arange(classes)
-    for batch in _power_entries(n, t, exps):
+    top = total if len(halves) > 1 else total // 2  # the largest row weight a pass needs
+    for batch in _power_entries(n, t, exps, top):
         for high, (rows, cols) in zip(halves, keys):
             cls, _, row, col = _half_entries(batch, total, high, slot)
             rows.mark(cls, row)
@@ -325,7 +329,7 @@ def _certificate_rank(n: int, t: int) -> int:
         slot.fill(-1)
         slot[bucket] = np.arange(bucket.size)
         blocks = [_ClassBlocks(rows.sizes[bucket], cols.sizes[bucket]) for rows, cols in keys]
-        for batch in _power_entries(n, t, exps):
+        for batch in _power_entries(n, t, exps, top):
             for high, (rows, cols), half in zip(halves, keys, blocks):
                 cls, k, row, col = _half_entries(batch, total, high, slot)
                 half.fill(k, rows.local(cls, row), cols.local(cls, col))
@@ -339,34 +343,39 @@ def _certificate_rank(n: int, t: int) -> int:
     return 2 * ranks[0]
 
 
-def _power_entries(n: int, t: int, exps: list[int]):
-    """The entries of d^(2^t - 1), r-block by r-block as ``fermat_power`` lists them, in batches.
+def _power_entries(n: int, t: int, exps: list[int], top: int):
+    """The entries of d^(2^t - 1) of row weight at most top, and some above it, in batches.
 
-    A batch is a (3, entries) int64 view (w, b, c): the row weight
-    w = j + n b over the submasks j of N(r) and b of full ^ r, b, and the
-    y2 exponent c = full ^ r ^ b of the column.  Blocks are cut into slices
-    of whole j and written into one buffer, which the next batch
-    overwrites, of max(_BATCH, 2^(t + 3)) entries: eight times the widest
-    slice, so that the work per batch grows with the blocks while the
-    buffer stays small beside the class blocks.  The exponents are
-    checked, so every value fits int64.
+    Blocks come r by r as ``fermat_power`` lists them.  A batch is a
+    (3, entries) int64 view (w, b, c): the row weight w = j + n b over the
+    submasks j of N(r) and b of full ^ r, b, and the y2 exponent
+    c = full ^ r ^ b of the column.  Blocks are cut into slices of whole j
+    and written into one buffer, which the next batch overwrites, of
+    max(_BATCH, 2^(t + 3)) entries: eight times the widest slice, so that
+    the work per batch grows with the blocks while the buffer stays small
+    beside the class blocks.  j and b ascend, so a slice lists only the b
+    with n b <= top - (its least j), and a block ends at the first slice
+    with none.  The exponents are checked, so every value fits int64.
     """
     full = (1 << t) - 1
     batch = np.empty((3, max(_BATCH, 8 << t)), dtype=np.int64)
     size = 0
     for r, e in enumerate(exps):
         j, b = _submasks(e).astype(np.int64), _submasks(full ^ r).astype(np.int64)
+        nb = n * b
         step = batch.shape[1] // b.size  # the j of one slice
         for k in range(0, j.size, step):
-            rows = min(step, j.size - k)
-            if size + rows * b.size > batch.shape[1]:
+            rows, cut = min(step, j.size - k), int(np.searchsorted(nb, top - j[k], side="right"))
+            if cut == 0:
+                break
+            if size + rows * cut > batch.shape[1]:
                 yield batch[:, :size]
                 size = 0
-            w, bs, cs = batch[:, size : size + rows * b.size].reshape(3, rows, b.size)
-            np.add(j[k : k + rows, None], n * b, out=w)
-            bs[:] = b
-            cs[:] = full ^ r ^ b
-            size += rows * b.size
+            w, bs, cs = batch[:, size : size + rows * cut].reshape(3, rows, cut)
+            np.add(j[k : k + rows, None], nb[:cut], out=w)
+            bs[:] = b[:cut]
+            cs[:] = full ^ r ^ b[:cut]
+            size += rows * cut
     yield batch[:, :size]
 
 
@@ -580,6 +589,8 @@ def eval_matrix(p: SparsePoly, field: GF2m) -> FieldMatrix:
     accumulator is capped by the byte-per-bit cap ``DENSE_BITS`` of
     bitmatrix, which stops m >= 7 before anything is allocated.
     """
+    from .field import FieldMatrix  # here, so that certificates never load field
+
     q = field.q
     n_vert = q * q
     if len(p) * n_vert * n_vert > _EVAL_LOOKUPS:

@@ -31,6 +31,12 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a child process, with this checkout's sources on its path."""
+    paths = [str(BENCH.parent / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 def test_field_info(capsys):
     doc = run_json(capsys, "field-info", "--m", "4")
     assert doc["q"] == 16
@@ -327,6 +333,19 @@ def test_certify_json(capsys):
     assert "elapsed_ms" in doc["meta"]
 
 
+def test_certify_without_t_max_runs_to_the_default_and_reports_it(capsys):
+    doc = run_json(capsys, "certify", "--n", "3")
+    assert doc["meta"]["t_max"] == polyf2.DEFAULT_T_MAX == 8
+    assert doc["t_star"] == 2
+
+
+def test_verify_all_without_seed_runs_the_default_seed(capsys, monkeypatch):
+    seeds = []
+    monkeypatch.setattr(verification, "run_all", lambda budget, seed, sink: seeds.append(seed) or [])
+    code, out, _ = run_cli(capsys, "verify-all")
+    assert (code, out, seeds) == (0, "0/0 claims pass at budget 'full'\n", [verification.DEFAULT_SEED])
+
+
 def test_certify_full_run_for_n7(capsys):
     doc = run_json(capsys, "certify", "--n", "7", "--t-max", "6")
     assert doc["certified"] is True and doc["t_star"] == 6
@@ -434,11 +453,55 @@ def test_verify_all_leaves_numpy_random_unimported(tmp_path):
             "from storagecodes import verification\n"
             "verification.run_all('full', sink=io.StringIO())\n"
             "print('numpy.random' in sys.modules)\n")
-    paths = [str(BENCH.parent / "src"), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True, timeout=300)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+# runs the CLI on argv[2:], then writes its exit code and the modules that ran
+# to argv[1]; a module registered for a lazy import but never read has not run
+_LOADED_PROBE = """\
+import json, sys, types
+from storagecodes.cli import main
+try:
+    code = main(sys.argv[2:])
+except SystemExit as exit:
+    code = exit.code
+with open(sys.argv[1], "w") as fh:
+    json.dump({"code": code, "ran": [k for k, m in sys.modules.items() if type(m) is types.ModuleType]}, fh)
+"""
+
+
+@pytest.mark.parametrize("argv, code, ran, unrun", [
+    (["--version"], 0, {"cli"}, {"numpy"}),
+    (["--help"], 0, {"cli"}, {"numpy"}),
+    (["verify-all", "--budget", "quick"], 2, {"cli"}, {"numpy"}),
+    (["certify", "--n", "7", "--t-max", "2"], 0, {"polyf2", "bitmatrix"},
+     {"storage", "graphs", "carryfree", "field", "verification"}),
+    (["nm-table", "--m-max", "3"], 0, {"carryfree"},
+     {"polyf2", "bitmatrix", "storage", "graphs", "verification"}),
+    (["code-report", "--n", "3", "--m", "2"], 0, {"storage", "polyf2", "graphs"}, {"verification"}),
+], ids=["version", "help", "usage-error", "certify", "nm-table", "code-report"])
+def test_a_command_runs_only_the_modules_it_uses(tmp_path, argv, code, ran, unrun):
+    out = tmp_path / "probe.json"
+    subprocess.run([sys.executable, "-c", _LOADED_PROBE, str(out), *argv], cwd=tmp_path,
+                   env=child_env(), capture_output=True, timeout=120, check=True)
+    doc = json.loads(out.read_text())
+    names = {k.removeprefix("storagecodes.") for k in doc["ran"]} - {"storagecodes"}
+    assert doc["code"] == code
+    assert (ran - names, unrun & names) == (set(), set())
+
+
+@pytest.mark.parametrize("argv, spans", [
+    (["certify", "--n", "7", "--t-max", "3"], {"cli.cmd_certify", "polyf2.certify_unit_rate"}),
+    (["nm-table", "--m-max", "3"], {"cli.cmd_nm_table", "carryfree.nm_bound"}),
+], ids=["certify", "nm-table"])
+def test_the_bench_tracer_wraps_the_functions_a_command_loads_late(tmp_path, argv, spans):
+    out = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, str(BENCH / "spans.py"), str(out), *argv], cwd=tmp_path,
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert spans <= {s["name"] for s in json.loads(out.read_text())["spans"]}
 
 
 def test_verify_all_rejects_negative_seed_before_any_claim(capsys, monkeypatch):

@@ -224,13 +224,18 @@ def test_reduced_powers_are_their_own_transposes(member):
     assert ((rows + cols) % ((1 << m) - 1) == 0).all()
 
 
-def test_halved_certificate_rank_equals_the_full_rank():
+def test_halved_certificate_rank_equals_the_full_rank(monkeypatch):
     # the class route against the component route on the two fermat_power
-    # halves and against the block rank of the whole power
+    # halves and against the block rank of the whole power; with
+    # HALF_CHECK_T_MAX = 0 it lists only about the low half, as past t = 7
     for n in range(1, 32, 2):
         for t in range(1, 7):
             rank = polyf2._certificate_rank(n, t)
-            assert rank == certificate_rank_by_components(n, t) == poly_rank(fermat_power(n, t)), (n, t)
+            with monkeypatch.context() as patch:
+                patch.setattr(polyf2, "HALF_CHECK_T_MAX", 0)
+                low_only = polyf2._certificate_rank(n, t)
+            assert rank == low_only == certificate_rank_by_components(n, t), (n, t)
+            assert rank == poly_rank(fermat_power(n, t)), (n, t)
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
