@@ -16,8 +16,10 @@ zero stop being live.  Scratch is one working copy plus fixed-size pieces:
 the trailing words go in column panels whose tables fit 256 KiB, and each
 panel in row blocks of 128 KiB.  A 30000 x 30000 instance fits in desk-scale
 time and memory (the packed words for that size are ~112 MB).  The kernel
-is read off the elimination of [M^T | 0 | I].  Results are deterministic and
-the input matrix is never modified.
+is read off the elimination of [M^T | 0 | I].  Results are deterministic,
+and the matrix is left untouched, except by ``rank(overwrite=True)``: it
+eliminates the matrix's own words and takes no copy, for a caller that
+reads the matrix no more.
 
 Text dump format (also used by the CLI ``--dump`` option):
 
@@ -67,7 +69,7 @@ MAX_BITS = 1 << 33  # rows * cols cap; 2^33 bits = 1 GiB packed
 DENSE_BITS = 1 << 28  # byte cap for dense expansions (one byte per bit) and polyf2.eval_matrix
 _TABLE_WORDS = 1 << 15  # XOR-table words per column panel of a strip update (256 KiB)
 _BLOCK_WORDS = 1 << 14  # words per row block of a strip update (128 KiB)
-_DUMP_ROWS = 512  # rows per block of the hex dump
+_DUMP_ROWS = 64  # rows per block of the hex dump, so its temporaries stay far below one matrix
 _CHUNK = 1 << 12  # entries or nodes per chunk of SparseBitMatrix.rank's passes over them
 _MAX_ENTRIES = 1 << 30  # SparseBitMatrix.rank labels its rows and columns, together, in int32
 _LOW = np.uint64(0xFFFFFFFF)  # the column half of a SparseBitMatrix entry
@@ -240,9 +242,14 @@ class BitMatrix:
             live = live[keep]
         return rows, pivots
 
-    def rank(self) -> int:
-        """Rank over GF(2).  The matrix itself is left untouched."""
-        return len(self._echelon(self.words.copy())[1])
+    def rank(self, overwrite: bool = False) -> int:
+        """Rank over GF(2).
+
+        The matrix is left untouched unless overwrite is true: then its own
+        words are eliminated, with no copy, and hold an echelon form up to
+        the order of the rows afterwards.
+        """
+        return len(self._echelon(self.words if overwrite else self.words.copy())[1])
 
     def kernel_basis(self) -> list[int]:
         """A basis of {v : M v = 0}, as little-endian bit ints.

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetError, ParameterError
 
 #: cost cap for direct enumeration: count_nm(m, r) covers the 4^m digit
@@ -59,6 +57,8 @@ def _b_size(s: int, r: int) -> int:
 
 
 def _bit_positions(w: int) -> list[int]:
+    import numpy as np  # here, so nm-table and count_nm load no numpy
+
     raw = np.frombuffer(w.to_bytes((w.bit_length() + 7) // 8, "little"), dtype=np.uint8)
     return np.flatnonzero(np.unpackbits(raw, bitorder="little")).tolist()
 

@@ -159,15 +159,13 @@ def cmd_code_report(args, files) -> dict | str:
 
     params = graphs.FamilyParams(args.n, args.m)
     field = GF2m(args.m)
-    report = storage.code_report(params, field)
-    doc = report.to_json_dict()
-    if args.dump:
-        if args.dump == "D":
-            del report  # frees the ranked H, so D is the only dense matrix alive
-            matrix = storage.d_matrix(params, field)
-        else:
-            matrix = report.h if args.dump == "H" else storage.w_matrix(report.h)
-        matrix.dump(files["dump_path"])
+    h = None
+    if args.dump in ("H", "W"):  # dumped before code_report ranks H in place
+        h = storage.coset_matrix(params, field)
+        (h if args.dump == "H" else storage.w_matrix(h)).dump(files["dump_path"])
+    doc = storage.code_report(params, field, h).to_json_dict()
+    if args.dump == "D":  # built once the ranked H is freed, so one dense matrix is alive at a time
+        storage.d_matrix(params, field).dump(files["dump_path"])
     doc["meta"] = _meta(field, n=args.n, m=args.m)
     if args.format == "json":
         return doc

@@ -14,7 +14,8 @@ and d = (x1+y1)^n + x2 + y2:
 H and D come from one zero-set builder: every row holds q zeros of d, or of
 d + x1^n + y1^n for D, one per y1, and D is that matrix complemented.  Both
 raise BudgetError for m >= 8 (over DEFAULT_GRAPH_BUDGET_BITS) before
-allocating.  ``code_report`` ranks H densely and takes the ranks of W and D,
+allocating.  ``code_report`` ranks H densely, in place, so the report holds
+one dense matrix at a time and keeps none, and takes the ranks of W and D,
 and a second rank of H that must agree, from polyf2.graded_ranks; rank_D =
 rank_W by construction, and substitution_ok checks that the block rank sees it.
 """
@@ -22,7 +23,7 @@ rank_W by construction, and substitution_ok checks that the block rank sees it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -86,8 +87,7 @@ class CodeReport:
 
     The counting bound N_m applies when n = 2^r + 1 for some r >= 1; for
     other odd n the two bound fields are None.  The growth-bound check in
-    Z[sqrt(2)] exists for r = 1 only.  h is the coset matrix that was ranked,
-    kept for ``--dump`` and left out of repr, comparison and the JSON.
+    Z[sqrt(2)] exists for r = 1 only.
     """
 
     params: FamilyParams
@@ -103,7 +103,6 @@ class CodeReport:
     substitution_ok: bool
     nm_ok: bool | None
     closed_form_ok: bool | None
-    h: BitMatrix = dc_field(repr=False, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,12 +125,17 @@ class CodeReport:
         }
 
 
-def code_report(params: FamilyParams, field: GF2m | None = None) -> CodeReport:
-    """Ranks of H (dense, first, cross-checked), W and D (graded_ranks) plus the bounds."""
+def code_report(params: FamilyParams, field: GF2m | None = None, h: BitMatrix | None = None) -> CodeReport:
+    """Ranks of H (dense, first, cross-checked), W and D (graded_ranks) plus the bounds.
+
+    H is ranked in place: a caller that needs H, say to dump it, builds it
+    with ``coset_matrix`` and passes it as h, which the rank then consumes.
+    """
     if field is None:
         field = GF2m(params.m)
-    h = coset_matrix(params, field)
-    rank_h = h.rank()
+    if h is None:
+        h = coset_matrix(params, field)
+    rank_h = h.rank(overwrite=True)
     n, m = params.n, params.m
     poly_rank_h, rank_w, rank_d = graded_ranks(n, m)
     if poly_rank_h != rank_h:
@@ -154,7 +158,6 @@ def code_report(params: FamilyParams, field: GF2m | None = None) -> CodeReport:
         substitution_ok=rank_w == rank_d,
         nm_ok=(rank_d <= n_m) if n_m is not None else None,
         closed_form_ok=nm_growth_bound_holds(m, n_m) if r == 1 else None,
-        h=h,
     )
 
 

@@ -5,7 +5,9 @@ both the CLI ``verify-all`` subcommand and the acceptance test module, so
 there is a single definition of what gets checked.
 
 A claim takes only the seed: its parameter ranges are fixed, and the
-budget only selects which claims run.
+budget only selects which claims run.  Within one ``run_all`` the rank
+claims share one ``storage.code_report`` per (n, m); a claim called on its
+own computes its reports afresh.
 
 Budgets:
     full      the eleven core claims, including the t=6 certificate
@@ -28,6 +30,17 @@ FULL, EXTENDED = "full", "extended"
 BUDGETS = (FULL, EXTENDED)
 
 DEFAULT_SEED = 2024
+
+_reports: dict[tuple[int, int], storage.CodeReport] | None = None  # run_all's (n, m) memo
+
+
+def _code_report(n: int, m: int) -> storage.CodeReport:
+    """storage.code_report of (n, m), made once per run_all."""
+    if _reports is None:
+        return storage.code_report(FamilyParams(n, m))
+    if (n, m) not in _reports:
+        _reports[n, m] = storage.code_report(FamilyParams(n, m))
+    return _reports[n, m]
 
 
 @dataclass(frozen=True)
@@ -123,7 +136,7 @@ def claim_rank_sandwich_substitution(seed: int):
     top = 5
     details = []
     for m in range(1, top + 1):
-        rep = storage.code_report(FamilyParams(3, m))
+        rep = _code_report(3, m)
         details.append((m, rep.rank_h, rep.rank_w, rep.rank_d))
         if not (rep.sandwich_ok and rep.substitution_ok):
             return False, f"fails at m={m}: H={rep.rank_h} W={rep.rank_w} D={rep.rank_d}"
@@ -134,7 +147,7 @@ def claim_rank_counting_bound(seed: int):
     """rank(D) <= N_m for n = 3 (r=1) and n = 5, 9 (r = 2, 3)."""
     for n, top in ((3, 5), (5, 4), (9, 4)):
         for m in range(1, top + 1):
-            rep = storage.code_report(FamilyParams(n, m))
+            rep = _code_report(n, m)
             if not rep.nm_ok:
                 return False, f"n={n} m={m}: rank(D)={rep.rank_d} > N_m={rep.n_m}"
     return True, "all pairs inside the monomial-count bound"
@@ -153,9 +166,8 @@ def claim_rank_ratio_trend(seed: int):
     top = 6
     ratios = []
     for m in range(1, top + 1):
-        f = GF2m(m)
-        rank_h = storage.coset_matrix(FamilyParams(3, m), f).rank()
-        n_m = carryfree.count_nm(m, 1)
+        rep = _code_report(3, m)
+        rank_h, n_m = rep.rank_h, rep.n_m
         size = 4 ** m
         ratios.append(Fraction(rank_h, size))
         if Fraction(rank_h, size) > Fraction(n_m + 1, size):
@@ -313,12 +325,17 @@ def run_claim(claim: Claim, seed: int = DEFAULT_SEED) -> ClaimResult:
 
 def run_all(budget: str, seed: int = DEFAULT_SEED, *, sink) -> list[ClaimResult]:
     """Run the claims the budget selects, printing one line per claim."""
+    global _reports
     if seed < 0:
         raise ParameterError(f"seed={seed}: need a non-negative integer")
     results = []
-    for claim in claims_for_budget(budget):
-        res = run_claim(claim, seed)
-        results.append(res)
-        status = "PASS" if res.ok else "FAIL"
-        sink.write(f"{status}  {claim.name}: {claim.description} [{res.detail}] ({res.elapsed_ms} ms)\n")
+    _reports = {}
+    try:
+        for claim in claims_for_budget(budget):
+            res = run_claim(claim, seed)
+            results.append(res)
+            status = "PASS" if res.ok else "FAIL"
+            sink.write(f"{status}  {claim.name}: {claim.description} [{res.detail}] ({res.elapsed_ms} ms)\n")
+    finally:
+        _reports = None
     return results

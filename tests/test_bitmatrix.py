@@ -70,6 +70,20 @@ def test_rank_matches_pivot_oracle_across_word_boundaries():
             assert m.rank() == pivot_rank(m.row_int(i) for i in range(rows))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 150), st.sampled_from([63, 64, 65, 128, 129]), st.floats(0.01, 0.5),
+       st.integers(0, 2 ** 32 - 1))
+def test_rank_in_place_equals_the_rank_of_a_copy(rows, cols, density, seed):
+    m = BitMatrix.from_dense(np.random.default_rng(seed).random((rows, cols)) < density)
+    before = m.words.copy()
+    rank = m.rank()
+    assert np.array_equal(m.words, before)
+    assert m.rank(overwrite=True) == rank
+    # the words now hold an echelon form up to row order: one distinct leading column per nonzero row
+    leads = [v & -v for v in map(m.row_int, range(rows)) if v]
+    assert len(set(leads)) == len(leads) == rank
+
+
 def test_kernel_on_wide_matrices():
     rng = np.random.default_rng(113)
     m = random_matrix(30, 100, rng)
@@ -316,6 +330,34 @@ def test_dump_load_round_trip_property(rows, cols, seed):
     m.dump(buf)
     buf.seek(0)
     assert BitMatrix.load(buf) == m
+
+
+@pytest.mark.parametrize("rows", [63, 64, 65, 4096])
+def test_dump_load_round_trip_across_dump_blocks(rows):
+    m = random_matrix(rows, 67, np.random.default_rng(rows))
+    buf = io.StringIO()
+    m.dump(buf)
+    buf.seek(0)
+    assert BitMatrix.load(buf) == m
+
+
+class _CountingSink:
+    """A text stream that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text: str) -> None:
+        self.chars += len(text)
+
+
+def test_dump_of_a_4096_square_holds_a_small_fraction_of_the_matrix():
+    # the matrix is 2 MB; the dump peaks at 0.20 MB, and at 1.58 MB written 512 rows at a time
+    m = random_matrix(4096, 4096, np.random.default_rng(4))
+    sink = _CountingSink()
+    _, peak = traced_peak(m.dump, sink)
+    assert sink.chars == len("4096 4096\n") + 4096 * 1025
+    assert peak <= 500_000
 
 
 def load_text(text: str) -> BitMatrix:

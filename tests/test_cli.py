@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -445,6 +446,26 @@ def test_verify_all_quick_reports_known_failure(capsys, monkeypatch):
     assert verify_all_check()(Result(code, out, err, 0.0, 0.0, "")) == []
 
 
+def test_verify_all_makes_one_code_report_per_member(monkeypatch):
+    made = []
+    report = storage.code_report
+
+    def counting(params, *args):
+        made.append((params.n, params.m))
+        return report(params, *args)
+
+    names = ("rank-sandwich-substitution", "rank-counting-bound", "rank-ratio-trend")
+    rank_claims = [c for c in verification.CLAIMS if c.name in names]
+    monkeypatch.setattr(storage, "code_report", counting)
+    monkeypatch.setattr(verification, "claims_for_budget", lambda budget: rank_claims)
+    verification.run_all("full", sink=io.StringIO())
+    assert len(rank_claims) == 3
+    assert sorted(made) == [(3, m) for m in range(1, 7)] + [(n, m) for n in (5, 9) for m in range(1, 5)]
+    made.clear()
+    verification.claim_rank_sandwich_substitution(0)  # outside run_all, nothing is kept
+    assert made == [(3, m) for m in range(1, 6)]
+
+
 @pytest.mark.slow
 def test_verify_all_leaves_numpy_random_unimported(tmp_path):
     # the randomised claims draw from random.Random: importing numpy.random
@@ -479,7 +500,7 @@ with open(sys.argv[1], "w") as fh:
     (["certify", "--n", "7", "--t-max", "2"], 0, {"polyf2", "bitmatrix"},
      {"storage", "graphs", "carryfree", "field", "verification"}),
     (["nm-table", "--m-max", "3"], 0, {"carryfree"},
-     {"polyf2", "bitmatrix", "storage", "graphs", "verification"}),
+     {"polyf2", "bitmatrix", "storage", "graphs", "verification", "numpy"}),
     (["code-report", "--n", "3", "--m", "2"], 0, {"storage", "polyf2", "graphs"}, {"verification"}),
 ], ids=["version", "help", "usage-error", "certify", "nm-table", "code-report"])
 def test_a_command_runs_only_the_modules_it_uses(tmp_path, argv, code, ran, unrun):

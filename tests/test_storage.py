@@ -191,9 +191,9 @@ def test_code_report_ranks_one_dense_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("code_report built W or D densely")
 
-    def rank_spy(self):
+    def rank_spy(self, *args, **kwargs):
         ranked.append(self)
-        return rank(self)
+        return rank(self, *args, **kwargs)
 
     rank = BitMatrix.rank
     monkeypatch.setattr(storage, "coset_matrix", build_h)
@@ -203,6 +203,19 @@ def test_code_report_ranks_one_dense_matrix(monkeypatch):
     assert code_report(FamilyParams(3, 3)).rank_h == 28
     assert len(built) == 1
     assert sum(m is built[0] for m in ranked) == 1
+
+
+def test_code_report_ranks_its_h_in_place():
+    # H of (3, 6) is 2 MB and ranks in place at a 2.98 MB peak; a copy of it took 5.08 MB
+    rep, peak = traced_peak(code_report, FamilyParams(3, 6))
+    assert rep.rank_h == 1102
+    assert peak <= 3_200_000
+
+
+def test_code_report_of_a_given_h_equals_its_own():
+    params, f = FamilyParams(3, 3), GF2m(3)
+    h = coset_matrix(params, f)
+    assert code_report(params, f, h) == code_report(params, f)
 
 
 def test_code_report_raises_when_the_routes_disagree(monkeypatch):
@@ -418,4 +431,4 @@ def test_exact_rank_golden_m6():
 
 @pytest.mark.extended
 def test_exact_rank_golden_m7():
-    assert coset_matrix(FamilyParams(3, 7), GF2m(7)).rank() == 3610
+    assert code_report(FamilyParams(3, 7)).rank_h == 3610
