@@ -40,20 +40,21 @@ graph instead: the matrix is block diagonal up to a permutation, so its
 rank is the sum of the block ranks.  The component pass also gives every
 entry its block and its row and column within the block, so no block is
 compacted.  A block of one row or one column has rank 1 and is counted
-without a stack.  The other blocks whose shapes round up to the same
-multiples of 8 are packed into one (blocks, rows, words) stack and
-eliminated in lockstep (``_stack_rank``), one Python iteration per column
-for the whole stack; the certificate route of ``polyf2`` ranks its class
-blocks through the same function.  The component pass labels rows and
-columns in int32, side by side per entry, and each entry's int64 bit
-position in the stacks laid end to end is written over its two labels.
-Apart from in-place sorts, every pass over the entries or the nodes goes
-``_CHUNK`` at a time.  So on certificate coefficient matrices, with about
-3 rows and columns to every 4 entries, ``rank`` holds under 20 bytes per entry
-besides the 8 of the entry itself (tests hold the 84192 entries of n = 13
-at t = 7 and the low half of n = 19 at t = 9).  The dense ``BitMatrix``
-elimination stays separate: it is the independent route that the block
-ranks are checked against.
+without a stack.  The other blocks go into one block-stack layout
+(``_BlockStacks``), which the certificate route of ``polyf2`` fills with
+its weight classes too: a block wider than it is tall, and wider than a
+word, is laid out along its long side, and the blocks whose laid-out
+shapes round up to the same multiples of 8 form one (blocks, rows, words)
+stack, eliminated in lockstep (``_stack_rank``), one Python iteration per
+column for the whole stack.  The component pass labels rows and columns
+in int32, and the stacks are filled straight from each entry's block and
+local row and column.  Apart from in-place sorts, every pass over the
+entries or the nodes goes ``_CHUNK`` at a time.  So on certificate
+coefficient matrices, with about 3 rows and columns to every 4 entries,
+``rank`` holds under 20 bytes per entry besides the 8 of the entry itself
+(tests hold the 84192 entries of n = 13 at t = 7 and the low half of
+n = 19 at t = 9).  The dense ``BitMatrix`` elimination stays separate: it
+is the independent route that the block ranks are checked against.
 """
 
 from __future__ import annotations
@@ -174,6 +175,11 @@ class BitMatrix:
         out = BitMatrix(self.rows, self.cols, ~self.words)
         out._mask_pad()
         return out
+
+    def invert(self) -> None:
+        """Complement every entry in place."""
+        np.invert(self.words, out=self.words)
+        self._mask_pad()
 
     def hadamard(self, other: "BitMatrix") -> "BitMatrix":
         """Entrywise product, i.e. bitwise AND."""
@@ -403,10 +409,7 @@ class SparseBitMatrix:
         ucols, cidx = np.unique(self._entries & _LOW, return_inverse=True)
         R, C = int(urows.size), int(ucols.size)
         out = BitMatrix(R, C)
-        w = out.words.reshape(-1)
-        flat = ridx.astype(np.int64) * out.words.shape[1] + (cidx >> 6).astype(np.int64)
-        bits = np.uint64(1) << (cidx.astype(np.uint64) & np.uint64(63))
-        np.bitwise_or.at(w, flat, bits)
+        _set_bits(out.words.reshape(-1), ridx.astype(np.int64) * (out.words.shape[1] * WORD) + cidx)
         return out
 
     def rank(self) -> int:
@@ -415,26 +418,21 @@ class SparseBitMatrix:
         Rows and columns in different components share no entry, so permuting
         them makes the matrix block diagonal and the rank is the sum of the
         block ranks.  A block of one row or one column has rank 1 and takes no
-        stack.  Every other block is packed, by the row and column indices of
-        the component pass, into a stack of the blocks of its shape rounded up
-        to multiples of 8, and each stack is eliminated in lockstep
-        (``_stack_rank``).  The stacks are laid end to end as one bit space, so
-        every entry is one int64 bit position there; sorting the positions
-        groups the entries by stack.  Besides the entries, the rank holds 8
-        bytes per entry, its int32 row and column labels with its position
-        later written over them, about 12 bytes per row or column, and
-        temporaries of ``_CHUNK`` items: under 20 bytes per entry on the
-        certificate matrices.
+        stack.  Every other block is a block of one ``_BlockStacks`` layout,
+        filled a chunk of entries at a time from the block, row and column
+        indices of the component pass, and each stack of the layout is
+        eliminated in lockstep (``_stack_rank``).  Besides the entries, the
+        rank holds 8 bytes per entry, its int32 row and column labels, about
+        12 bytes per row or column, the stacks, and temporaries of ``_CHUNK``
+        items: under 20 bytes per entry on the certificate matrices.
         """
         if self.nnz == 0:
             return 0
         if self.nnz >= _MAX_ENTRIES:
             raise BudgetError(f"{self.nnz} entries exceed the {_MAX_ENTRIES}-entry cap of rank")
         N = self.nnz
-        # an entry's row and column labels sit side by side, so that its int64
-        # bit position can later be written over them
-        rc = np.empty((N, 2), dtype=np.int32)
-        r, c = rc[:, 0], rc[:, 1]
+        r = np.empty(N, dtype=np.int32)
+        c = np.empty(N, dtype=np.int32)
         R = _dense_labels(self._entries & ~_LOW, r)
         C = _dense_labels(self._entries << np.uint64(32), c)
         c += R  # rows are nodes 0..R-1, columns R..R+C-1
@@ -452,64 +450,25 @@ class SparseBitMatrix:
         del label, number
         rows_in = np.bincount(comp[:R], minlength=K)
         cols_in = np.bincount(comp[R:], minlength=K)
-        # blocks: the components in order of shape rounded up to multiples of 8, then of least
-        # node; a component of one row or one column has rank 1 and shape -1, which takes no stack
-        thin = (rows_in == 1) | (cols_in == 1)
-        shape = np.where(thin, -1, ((rows_in + 7) >> 3) << 32 | ((cols_in + 7) >> 3))
-        by_shape = np.argsort(shape, kind="stable")
-        block = np.empty(K, dtype=np.int32)
-        block[by_shape] = np.arange(K, dtype=np.int32)
-        # the local index of a node, its position among its block's nodes of
-        # its kind, replaces its component once the rows' blocks are read
+        # a block of one row or one column has rank 1 and takes no stack; the
+        # others are numbered in order, and every row gets its block's number,
+        # or -1, before its component is overwritten
+        stacked = (rows_in > 1) & (cols_in > 1)
+        row_block = np.where(stacked, np.cumsum(stacked, dtype=np.int32) - 1, -1)[comp[:R]]
+        # the local index of a node, its place among its block's nodes of its
+        # kind, replaces its component
         local = comp
         _rank_within(comp[R:], cols_in, local[R:])
-        row_block = block[comp[:R]]
-        del block
         _rank_within(comp[:R], rows_in, local[:R])
-        del comp
-        shape = shape[by_shape]
-        # a stack holds a run of blocks of one shape, found by one scan of the
-        # sorted shapes; each block is its rows of whole words.  The stacks span
-        # below R * C + 2^40 < 2^61 bits, so positions fit int64.
-        edges = np.flatnonzero(np.diff(shape, prepend=-2, append=-2)).tolist()
-        stacks = []  # (blocks, rows, cols, words, first bit)
-        row_bits = np.empty(K, dtype=np.int64)  # bits per row of a block
-        first_bit = np.empty(K, dtype=np.int64)  # the first bit of a block
-        bit = 0
-        for b0, b1 in zip(edges, edges[1:]):
-            if shape[b0] < 0:  # the thin blocks: their entries get negative positions, before every stack
-                row_bits[b0:b1], first_bit[b0:b1] = 0, -(1 << 62)
-                continue
-            rows, cols = int(shape[b0] >> 32) << 3, int(shape[b0] & 0xFFFFFFFF) << 3
-            words = (cols + WORD - 1) // WORD
-            stacks.append((b1 - b0, rows, cols, words, bit))
-            row_bits[b0:b1] = words * WORD
-            first_bit[b0:b1] = bit + np.arange(b1 - b0) * (rows * words * WORD)
-            bit += (b1 - b0) * rows * words * WORD
-        # the position of entry (row, col) is its row's first bit plus its column's local index
-        row_bit = np.empty(R, dtype=np.int64)
-        for s in _chunks(R):
-            b = row_block[s]
-            row_bit[s] = row_bits[b] * local[s] + first_bit[b]
-        del row_block, row_bits, first_bit
-        pos = rc.view(np.int64).reshape(N)
+        stacks = _BlockStacks(rows_in[stacked], cols_in[stacked])
+        del rows_in, cols_in
         for s in _chunks(N):
-            pos[s] = row_bit[r[s]] + local[c[s]]
-        del rc, r, c, row_bit, local
-        pos.sort()
-        at = np.searchsorted(pos, [s[4] for s in stacks] + [bit]).tolist()
-        total = int(np.count_nonzero(thin))
-        for (blocks, rows, cols, words, start), lo, hi in zip(stacks, at, at[1:]):
-            stack = np.zeros((blocks, rows, words), dtype=np.uint64)
-            part = pos[lo:hi]
-            for s in _chunks(part.size):
-                word = part[s] - start
-                mask = (word & (WORD - 1)).view(np.uint64)
-                np.left_shift(np.uint64(1), mask, out=mask)
-                word >>= 6
-                np.bitwise_or.at(stack.reshape(-1), word, mask)
-            total += _stack_rank(stack, cols)
-        return total
+            rs, cs = r[s], c[s]
+            k = row_block[rs]
+            kept = k >= 0
+            stacks.fill(k[kept], local[rs[kept]], local[cs[kept]])
+        del r, c, row_block, local
+        return K - int(np.count_nonzero(stacked)) + stacks.rank()
 
 
 def _chunks(size: int):
@@ -626,3 +585,64 @@ def _stack_rank(M: np.ndarray, cols: int) -> int:
             M[hb, hr + lo] ^= M[hb, piv[hb]]
         piv[b] += 1
     return int(piv.sum())
+
+
+def _set_bits(words: np.ndarray, pos: np.ndarray) -> None:
+    """Set bit pos & 63 of words[pos >> 6] for every int64 position in pos."""
+    bit = (pos & 63).view(np.uint64)
+    np.left_shift(np.uint64(1), bit, out=bit)
+    np.bitwise_or.at(words, pos >> 6, bit)
+
+
+def _block_layout(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flip, shape, bits) of blocks with the given numbers of rows and columns.
+
+    A block is flipped, its columns laid out as rows, when it has more
+    columns than rows and more than one word of them: its stack then takes
+    one column iteration per row, not per column.  A block of at most 64
+    columns takes one word per row either way, and flipping it would only
+    add padded rows.  shape is the laid-out rows << 32 | columns, both
+    rounded up to multiples of 8, and bits is the block's size in its stack:
+    its laid-out rows of whole words.
+    """
+    flip = cols > np.maximum(rows, WORD)
+    tall = np.where(flip, cols, rows) + 7 >> 3 << 3
+    wide = np.where(flip, rows, cols) + 7 >> 3 << 3
+    return flip, tall << 32 | wide, tall * (wide + WORD - 1 >> 6 << 6)
+
+
+class _BlockStacks:
+    """Blocks with the given numbers of rows and columns, as stacks in one bit array.
+
+    Each block is laid out by ``_block_layout``.  The blocks of one shape
+    form a (blocks, rows, words) stack, in the order given, and the stacks
+    lie end to end in ``bits``, in order of shape.  ``fill`` sets the
+    entries of blocks k at local (row, column), and ``rank`` sums the block
+    ranks, one lockstep elimination per stack (``_stack_rank``).
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray):
+        self.flip, shape, bits = _block_layout(rows, cols)
+        order = np.argsort(shape, kind="stable")
+        shape, bits = shape[order], bits[order]
+        self.first_bit = np.empty(rows.size, dtype=np.int64)
+        self.first_bit[order] = np.cumsum(bits) - bits
+        self.row_bits = np.empty(rows.size, dtype=np.int64)  # bits per laid-out row
+        self.layout = []  # per stack: (first word, blocks, rows, words, columns)
+        edges = np.flatnonzero(np.diff(shape, prepend=-1, append=-1)).tolist()
+        for b0, b1 in zip(edges, edges[1:]):
+            tall, wide = int(shape[b0] >> 32), int(shape[b0] & 0xFFFFFFFF)
+            words = -(-wide // WORD)
+            self.row_bits[order[b0:b1]] = words * WORD
+            self.layout.append((int(self.first_bit[order[b0]]) // WORD, b1 - b0, tall, words, wide))
+        self.bits = np.zeros(int(bits.sum()) // WORD, dtype=np.uint64)
+
+    def fill(self, k: np.ndarray, row: np.ndarray, col: np.ndarray) -> None:
+        f = self.flip[k]
+        _set_bits(self.bits, self.first_bit[k] + np.where(f, col, row) * self.row_bits[k] + np.where(f, row, col))
+
+    def rank(self) -> int:
+        return sum(
+            _stack_rank(self.bits[start : start + blocks * rows * words].reshape(blocks, rows, words), cols)
+            for start, blocks, rows, words, cols in self.layout
+        )

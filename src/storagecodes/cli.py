@@ -162,7 +162,11 @@ def cmd_code_report(args, files) -> dict | str:
     h = None
     if args.dump in ("H", "W"):  # dumped before code_report ranks H in place
         h = storage.coset_matrix(params, field)
-        (h if args.dump == "H" else storage.w_matrix(h)).dump(files["dump_path"])
+        if args.dump == "W":  # W = H + J, dumped from H's own words complemented, then back
+            h.invert()
+        h.dump(files["dump_path"])
+        if args.dump == "W":
+            h.invert()
     doc = storage.code_report(params, field, h).to_json_dict()
     if args.dump == "D":  # built once the ranked H is freed, so one dense matrix is alive at a time
         storage.d_matrix(params, field).dump(files["dump_path"])

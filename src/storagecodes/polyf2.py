@@ -21,8 +21,10 @@ general operations, and the product of Frobenius copies is the reference
 route in the tests.  rank(p) is the GF(2) rank of the coefficient matrix,
 rows (e_x1, e_x2) and columns (e_y1, e_y2); a code is already that matrix's
 entry row << 32 | col, so ``coeff_matrix`` wraps p's array without a copy.
-``SparseBitMatrix.rank`` splits it into connected blocks and eliminates the
-blocks of one rounded shape in lockstep.
+``SparseBitMatrix.rank`` splits it into connected blocks.  Both routes
+then fill the one block-stack layout of ``bitmatrix``, with those blocks or
+with the certificate's weight classes, and eliminate the blocks of one
+rounded shape in lockstep.
 
 Both are ranked by weight.  Give x1 and y1 weight 1 and x2 and y2 weight n.
 Every monomial of d^(2^t - 1) has weight T = n (2^t - 1), and reduction mod
@@ -52,7 +54,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitmatrix import DENSE_BITS, WORD, SparseBitMatrix, _stack_rank
+from .bitmatrix import DENSE_BITS, SparseBitMatrix, _BlockStacks, _block_layout, _set_bits
 from .errors import BudgetError, ParameterError, PropertyViolation
 
 if TYPE_CHECKING:
@@ -294,13 +296,12 @@ def _certificate_rank(n: int, t: int) -> int:
     No code is formed.  A count pass over the entries (``_power_entries``)
     marks the occupied rows (w, b) and columns (w, c), one bit each
     (``_Keys``); the local index of a row or column in its class is the
-    number of marks of the class below it.  Each class is one block, laid
-    out with its longer side as rows once it is wider than a word, and the
-    blocks of one shape rounded up to multiples of 8 form a stack
-    (``_shapes``, ``_ClassBlocks``).  The classes, in order of shape, go in
+    number of marks of the class below it.  Each class is one block of the
+    stack layout that ``SparseBitMatrix.rank`` fills with its components
+    (``bitmatrix._BlockStacks``).  The classes, in order of shape, go in
     buckets of at most CLASS_BITS stack bits (``_buckets``).  Per bucket a
-    fill pass writes every entry as one bit of its stack and ``_half_rank``
-    ranks the stacks.  Up to HALF_CHECK_T_MAX
+    fill pass writes every entry as one bit of its stack, and the stacks
+    are ranked.  Up to HALF_CHECK_T_MAX
     the same passes also write the rows above T/2, each class T - w as the
     transpose of class w, with marks of their own, and a different rank of
     that half raises PropertyViolation.  Past it the passes list little more
@@ -328,13 +329,13 @@ def _certificate_rank(n: int, t: int) -> int:
     for bucket in _buckets(keys[0][0].sizes, keys[0][1].sizes):
         slot.fill(-1)
         slot[bucket] = np.arange(bucket.size)
-        blocks = [_ClassBlocks(rows.sizes[bucket], cols.sizes[bucket]) for rows, cols in keys]
+        blocks = [_BlockStacks(rows.sizes[bucket], cols.sizes[bucket]) for rows, cols in keys]
         for batch in _power_entries(n, t, exps, top):
             for high, (rows, cols), half in zip(halves, keys, blocks):
                 cls, k, row, col = _half_entries(batch, total, high, slot)
                 half.fill(k, rows.local(cls, row), cols.local(cls, col))
         for h, half in enumerate(blocks):
-            ranks[h] += _half_rank(half.stacks())
+            ranks[h] += half.rank()
         del blocks  # before the next bucket's are allocated
     if len(ranks) > 1 and ranks[1] != ranks[0]:
         raise PropertyViolation(
@@ -394,11 +395,6 @@ def _half_entries(batch, total: int, high: bool, slot: np.ndarray):
     return cls[kept], k[kept], row[kept], col[kept]
 
 
-def _set_bits(words: np.ndarray, pos: np.ndarray) -> None:
-    """Set bit pos & 63 of words[pos >> 6] for every position in pos."""
-    np.bitwise_or.at(words, pos >> 6, np.left_shift(np.uint64(1), (pos & 63).astype(np.uint64)))
-
-
 class _Keys:
     """The occupied (class, key) pairs of one side of a half, one bit at class << t | key each.
 
@@ -430,33 +426,17 @@ class _Keys:
         return self._below(cls << self.t | key) - self.first[cls]
 
 
-def _shapes(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(flip, shape) of class blocks with the given numbers of rows and columns.
-
-    A block is flipped, its columns laid out as rows, when it has more
-    columns than rows and more than one word of them: its stack then takes
-    one column iteration per row, not per column.  A block of at most 64
-    columns takes one word per row either way, and flipping it would only
-    add padded rows.  shape is the laid-out rows << 32 | columns, both in
-    multiples of 8, rounded up.
-    """
-    flip = cols > np.maximum(rows, WORD)
-    tall, wide = np.where(flip, cols, rows), np.where(flip, rows, cols)
-    return flip, (tall + 7 >> 3) << 32 | (wide + 7 >> 3)
-
-
 def _buckets(rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
     """The classes in order of block shape, cut into runs of at most CLASS_BITS stack bits, or one class.
 
-    A block takes its laid-out rows, rounded up to 8, times whole words of
-    its columns.  Cutting the shape order, not the weight order, splits at
-    most one stack per cut.
+    A class is one block of the shared stack layout (``_block_layout``).
+    Cutting the shape order, not the weight order, splits at most one stack
+    per cut.
     """
-    shape = _shapes(rows, cols)[1]
+    _, shape, bits = _block_layout(rows, cols)
     order = np.argsort(shape, kind="stable")
-    order = order[shape[order] > 0]  # the classes with entries
-    shape = shape[order]
-    cum = np.cumsum((shape >> 32 << 3) * ((shape & 0xFFFFFFFF) + 7 >> 3 << 6))
+    order = order[bits[order] > 0]  # the classes with entries
+    cum = np.cumsum(bits[order])
     buckets, lo = [], 0
     while lo < order.size:
         base = int(cum[lo - 1]) if lo else 0
@@ -464,50 +444,6 @@ def _buckets(rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
         buckets.append(order[lo:hi])
         lo = hi
     return buckets
-
-
-class _ClassBlocks:
-    """The blocks of classes with the given numbers of rows and columns, as stacks in one bit array.
-
-    A flipped class has its columns as the rows of its block (``_shapes``).
-    The blocks of one shape form a stack, each block its rows of whole
-    words, and the stacks lie end to end in ``bits``.  ``fill`` sets the
-    entries of the k-th class at local (row, column).
-    """
-
-    def __init__(self, rows: np.ndarray, cols: np.ndarray):
-        self.flip, shape = _shapes(rows, cols)
-        order = np.argsort(shape, kind="stable")
-        shape = shape[order]
-        edges = np.flatnonzero(np.diff(shape, prepend=-1, append=-1)).tolist()
-        self.first_bit = np.zeros(rows.size, dtype=np.int64)
-        self.row_bits = np.zeros(rows.size, dtype=np.int64)
-        self.layout = []  # per stack: (first word, blocks, rows, words, columns)
-        bit = 0
-        for b0, b1 in zip(edges, edges[1:]):
-            tall, wide = int(shape[b0] >> 32) << 3, int(shape[b0] & 0xFFFFFFFF) << 3
-            words = -(-wide // WORD)
-            self.first_bit[order[b0:b1]] = bit + np.arange(b1 - b0) * (tall * words * WORD)
-            self.row_bits[order[b0:b1]] = words * WORD
-            self.layout.append((bit // WORD, b1 - b0, tall, words, wide))
-            bit += (b1 - b0) * tall * words * WORD
-        self.bits = np.zeros(bit // WORD, dtype=np.uint64)
-
-    def fill(self, k: np.ndarray, row: np.ndarray, col: np.ndarray) -> None:
-        f = self.flip[k]
-        _set_bits(self.bits, self.first_bit[k] + np.where(f, col, row) * self.row_bits[k] + np.where(f, row, col))
-
-    def stacks(self) -> list[tuple[np.ndarray, int]]:
-        """Each stack as a (blocks, rows, words) view of the bits, with its column count."""
-        return [
-            (self.bits[start : start + blocks * rows * words].reshape(blocks, rows, words), cols)
-            for start, blocks, rows, words, cols in self.layout
-        ]
-
-
-def _half_rank(stacks: list[tuple[np.ndarray, int]]) -> int:
-    """The summed rank of the blocks of every stack: one half, or one bucket of it."""
-    return sum(_stack_rank(stack, cols) for stack, cols in stacks)
 
 
 def _orbit_parts(m: int) -> list[tuple[int, np.ndarray]]:

@@ -76,8 +76,7 @@ def w_matrix(h: BitMatrix) -> BitMatrix:
 def d_matrix(params: FamilyParams, field: GF2m) -> BitMatrix:
     """The relabelled indicator matrix D: the zero set of d + x1^n + y1^n, complemented in place."""
     out = _zero_set(params, field, relabel=True)
-    np.invert(out.words, out=out.words)
-    out._mask_pad()
+    out.invert()
     return out
 
 

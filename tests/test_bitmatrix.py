@@ -666,13 +666,26 @@ def test_block_rank_of_thin_blocks_among_larger_ones_with_repeated_positions(blo
 
 def test_block_rank_of_an_identity_takes_no_stack_slots():
     # 100000 1 x 1 blocks took an 8 x 8 stack slot each, a peak of 228 bytes per
-    # entry under tracemalloc; counted without a slot they peak at 78 bytes per
-    # entry, the component pass alone; the cap sits 10% above that
+    # entry under tracemalloc; counted without a slot they peaked at 78 bytes per
+    # entry, and now, filled into a stack layout of the other blocks alone, at
+    # 54, the component pass alone; the cap stays 10% above the 78
     n = 100_000
     s = SparseBitMatrix(entry_array(np.arange(n), np.arange(n)))
     rank, peak = traced_peak(s.rank)
     assert rank == n
     assert peak <= 8_600_000
+
+
+def test_block_rank_lays_a_wide_block_out_along_its_long_side(monkeypatch):
+    # a 3 x 130 block is one stack of 130 laid-out rows of 3 columns, so its
+    # lockstep elimination takes 8 column iterations rather than 136
+    rng = np.random.default_rng(130)
+    block = [2 ** 130 - 1] + [int.from_bytes(rng.bytes(17), "little") >> 6 for _ in range(2)]
+    s = shuffled_block_diagonal([as_bool_block(130, block)], 7)
+    seen, stack_rank = [], bitmatrix._stack_rank
+    monkeypatch.setattr(bitmatrix, "_stack_rank", lambda M, cols: seen.append((M.shape, cols)) or stack_rank(M, cols))
+    assert s.rank() == pivot_rank(block) == 3
+    assert seen == [((1, 136, 1), 8)]
 
 
 def test_block_rank_neither_compacts_nor_ranks_dense_blocks(monkeypatch):

@@ -8,14 +8,14 @@ from pathlib import Path
 import pytest
 
 from storagecodes import carryfree, graphs, polyf2, storage, verification
-from storagecodes.bitmatrix import BitMatrix
+from storagecodes.bitmatrix import BitMatrix, _BlockStacks
 from storagecodes.cli import main
 from storagecodes.errors import ParameterError
 from storagecodes.field import GF2m
 from storagecodes.graphs import FamilyParams
 from storagecodes.storage import coset_matrix
 
-from oracles import b_values_by_sets
+from oracles import b_values_by_sets, traced_peak
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -208,6 +208,18 @@ def test_code_report_dump_builds_each_matrix_once(capsys, monkeypatch, tmp_path,
         assert BitMatrix.load(fh) == want
 
 
+def test_code_report_dump_of_w_holds_one_matrix(capsys, tmp_path):
+    # H of (3, 6) is 2 MB; W dumped from a complemented copy peaked at 4.44 MB
+    # under tracemalloc, and dumped from H's own words, complemented and back
+    # before H is ranked, it peaks at 3.03 MB, as the H dump does; the cap sits
+    # 10% above that
+    path = tmp_path / "W.txt"
+    argv = ("code-report", "--n", "3", "--m", "6", "--dump", "W", "--dump-path", str(path))
+    doc, peak = traced_peak(run_json, capsys, *argv)
+    assert doc["rank_H"] == 1102
+    assert peak <= 3_340_000
+
+
 def test_code_report_json_schema(capsys):
     doc = run_json(capsys, "code-report", "--n", "3", "--m", "2")
     assert doc["size"] == 16
@@ -354,13 +366,13 @@ def test_certify_full_run_for_n7(capsys):
 
 
 def test_certify_exits_4_when_the_halves_disagree(capsys, monkeypatch):
-    ranks, rank = [], polyf2._half_rank  # the low half is ranked first, then the high half, at each t
+    ranks, rank = [], _BlockStacks.rank  # the low half is ranked first, then the high half, at each t
 
-    def skewed(stacks):
-        ranks.append(rank(stacks))
+    def skewed(half):
+        ranks.append(rank(half))
         return ranks[-1] + (len(ranks) % 2 == 0)
 
-    monkeypatch.setattr(polyf2, "_half_rank", skewed)
+    monkeypatch.setattr(_BlockStacks, "rank", skewed)
     code, out, err = run_cli(capsys, "certify", "--n", "7", "--t-max", "6")
     assert (code, out) == (4, "")
     assert err.startswith("property violation:")

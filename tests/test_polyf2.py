@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from storagecodes import polyf2
-from storagecodes.bitmatrix import SparseBitMatrix
+from storagecodes.bitmatrix import SparseBitMatrix, _BlockStacks
 from storagecodes.errors import BudgetError, ParameterError, PropertyViolation
 from storagecodes.field import GF2m
 from storagecodes.graphs import FamilyParams
@@ -284,21 +284,21 @@ def test_keep_tables_of_the_wrong_length_are_rejected_before_listing_terms(monke
 
 
 def test_certify_raises_when_the_halves_disagree(monkeypatch):
-    ranks, half_rank = [], polyf2._half_rank  # the low half is ranked first, then the high half
+    ranks, half_rank = [], _BlockStacks.rank  # the low half is ranked first, then the high half
 
-    def skewed(stacks):  # one more for the rows of d = (x1+y1)^7 + x2 + y2 of weight above 7/2
-        ranks.append(half_rank(stacks))
+    def skewed(half):  # one more for the rows of d = (x1+y1)^7 + x2 + y2 of weight above 7/2
+        ranks.append(half_rank(half))
         return ranks[-1] + (len(ranks) == 2)
 
-    monkeypatch.setattr(polyf2, "_half_rank", skewed)
+    monkeypatch.setattr(_BlockStacks, "rank", skewed)
     with pytest.raises(PropertyViolation, match="rows of weight below 7/2 have rank 4, those above 5"):
         certify_unit_rate(7, t_max=1)
     assert ranks == [4, 4]
 
 
 def test_certify_ranks_both_halves_only_up_to_the_check_limit(monkeypatch):
-    calls, half_rank = [], polyf2._half_rank
-    monkeypatch.setattr(polyf2, "_half_rank", lambda stacks: calls.append(stacks) or half_rank(stacks))
+    calls, half_rank = [], _BlockStacks.rank
+    monkeypatch.setattr(_BlockStacks, "rank", lambda half: calls.append(half) or half_rank(half))
     monkeypatch.setattr(polyf2, "HALF_CHECK_T_MAX", 2)
     assert certify_unit_rate(7, t_max=3).trace == ((1, 8, 4), (2, 24, 16), (3, 64, 64))
     assert len(calls) == 5  # low and high half at t = 1 and 2, the low half alone at t = 3
@@ -316,10 +316,21 @@ def test_certify_needs_no_codes_and_no_component_pass(monkeypatch):
     assert certify_unit_rate(13, 7).trace[-1] == (7, 14442, 16384)
 
 
+def test_certificate_and_coefficient_ranks_fill_one_stack_layout(monkeypatch):
+    # both routes rank through the block-stack layout of bitmatrix: the
+    # certificate once per half at each t, the coefficient matrix once
+    layouts, rank = [], _BlockStacks.rank
+    monkeypatch.setattr(_BlockStacks, "rank", lambda stacks: layouts.append(stacks) or rank(stacks))
+    assert certify_unit_rate(7, 3).trace == ((1, 8, 4), (2, 24, 16), (3, 64, 64))
+    assert len(layouts) == 6
+    assert poly_rank(fermat_power(7, 3)) == 64
+    assert len(layouts) == 7
+
+
 def test_certify_splits_its_classes_into_buckets_of_the_same_rank(monkeypatch):
     # a cap of one class block per bucket fills and ranks every class alone
-    calls, half_rank = [], polyf2._half_rank
-    monkeypatch.setattr(polyf2, "_half_rank", lambda stacks: calls.append(len(stacks)) or half_rank(stacks))
+    calls, half_rank = [], _BlockStacks.rank
+    monkeypatch.setattr(_BlockStacks, "rank", lambda half: calls.append(len(half.layout)) or half_rank(half))
     monkeypatch.setattr(polyf2, "CLASS_BITS", 1)
     assert polyf2._certificate_rank(11, 5) == 1198
     assert len(calls) == 2 * 171 and set(calls) == {1}  # two halves of the 171 classes below 11 * 31 / 2
@@ -829,8 +840,9 @@ def test_certify_n13_holds_the_class_blocks_of_both_halves():
 def test_block_rank_of_the_n13_t7_power_holds_int32_labels():
     # 84192 entries, ranked in the polynomial's own codes; int64 sort keys and
     # positions beside them took 2.44 MB (29 bytes per entry), and packed-pair
-    # labels with the positions written over them take 1.52 MB (18.0); the
-    # cap sits 10% above that
+    # labels with the positions written over them 1.52 MB (18.0); the cap sat
+    # 10% above that.  Filling every stack at once from the labels takes
+    # 1.61 MB (19.1), under the same cap
     power = fermat_power(13, 7)
     rank, peak = traced_peak(poly_rank, power)
     assert (len(power), rank) == (84192, 14442)
