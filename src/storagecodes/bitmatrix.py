@@ -45,8 +45,10 @@ without a stack.  The other blocks go into one block-stack layout
 its weight classes too: a block wider than it is tall, and wider than a
 word, is laid out along its long side, and the blocks whose laid-out
 shapes round up to the same multiples of 8 form one (blocks, rows, words)
-stack, eliminated in lockstep (``_stack_rank``), one Python iteration per
-column for the whole stack.  The component pass labels rows and columns
+stack, eliminated in lockstep (``_stack_rank``), one 64-column strip at a
+time as ``BitMatrix._echelon`` does: one masked pivot search per bit of a
+strip word, for every block of a run at once, then one update of the
+trailing words per strip.  The component pass labels rows and columns
 in int32, and the stacks are filled straight from each entry's block and
 local row and column.  Apart from in-place sorts, every pass over the
 entries or the nodes goes ``_CHUNK`` at a time.  So on certificate
@@ -554,37 +556,100 @@ def _rank_within(group: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None
         out[index] = np.arange(s.start, s.stop) - first[pair]
 
 
-def _stack_rank(M: np.ndarray, cols: int) -> int:
+def _stack_rank(M: np.ndarray) -> int:
     """Sum of the ranks of the blocks M[b] of a (blocks, rows, words) stack.
 
-    The stack is eliminated in place, one column at a time for all blocks at
-    once: each block takes the first hit at or below its pivot count as its
-    pivot, swaps it into the pivot slot and XORs it into its other hits.
+    The stack is eliminated in place, one 64-column strip at a time, for a
+    run of blocks of at most _BLOCK_WORDS rows at once.  Pivot k of a strip
+    is taken at the lowest bit that some row of the run still holds: each
+    block with a row holding it takes its first such row as its pivot k and
+    XORs it into each of its rows with the bit, itself included.  So the
+    strip ends zero in every row, a pivot row leaves as zero, and the rank
+    is the number of pivots.  Bit k of a row's tag records that it took
+    pivot k, as the pivot row stood when the strip began, and the trailing
+    words are updated once per strip from the tags (``_stack_update``).
+    This is the strip step of ``BitMatrix._echelon`` in code of its own, so
+    that the dense rank stays an independent route.
     """
-    B, R, _ = M.shape
-    piv = np.zeros(B, dtype=np.int64)
-    blocks = np.arange(B)
-    slots = np.arange(R)
-    one = np.uint64(1)
-    for col in range(cols):
-        lo = int(piv.min())
-        if lo == R:
-            break
-        hit = ((M[:, lo:, col >> 6] >> np.uint64(col & 63)) & one).astype(bool)
-        hit &= slots[lo:] >= piv[:, None]
-        first = hit.argmax(axis=1)
-        has = hit[blocks, first]
-        if not has.any():
-            continue
-        b = blocks[has]
-        p, f = piv[b], first[has] + lo
-        hit[b, f - lo] = False  # the pivot itself: after the swap that slot holds the old pivot-slot row
-        M[b, p], M[b, f] = M[b, f], M[b, p]
-        hb, hr = np.nonzero(hit)
-        if hb.size:
-            M[hb, hr + lo] ^= M[hb, piv[hb]]
-        piv[b] += 1
-    return int(piv.sum())
+    B, R, W = M.shape
+    run = max(1, _BLOCK_WORDS // R)
+    rank = 0
+    for b0 in range(0, B, run):
+        stack = M[b0 : b0 + run]
+        n = stack.shape[0]
+        first = np.arange(n) * R  # the flat index of each block's row 0
+        hit = np.empty((n, R), dtype=np.uint64)
+        sel = np.empty_like(hit)
+        signed = hit.view(np.int64)
+        for w in range(W):
+            s = np.ascontiguousarray(stack[:, :, w])  # a view of a one-word stack
+            seen = int(np.bitwise_or.reduce(s, axis=None))
+            if not seen:
+                continue
+            trailing = w + 1 < W  # only then are tags and pivot rows kept
+            if trailing:
+                tags = np.zeros((n, R), dtype="<u8")  # byte g of a tag is view byte g
+                pivot = np.zeros((WORD, n), dtype=np.int64)  # the row of each block's pivot k, if it took one
+            k = 0
+            while seen:  # every bit some row holds is in seen; its lowest, if still held, is pivot k's column
+                b = (seen & -seen).bit_length() - 1
+                np.left_shift(s, np.uint64(63 - b), out=hit)
+                np.right_shift(signed, 63, out=signed)  # all ones in the rows with bit b
+                p = signed.argmin(axis=1)  # row 0 of a block with no hit, which its zero mask leaves alone
+                p += first
+                pivots = int(np.count_nonzero(signed.take(p)))  # the blocks with a hit
+                if not pivots:  # bit b, and maybe others, went in earlier steps
+                    seen = int(np.bitwise_or.reduce(s, axis=None))
+                    continue
+                rank += pivots
+                np.bitwise_and(hit, s.take(p)[:, None], out=sel)
+                s ^= sel
+                if trailing:
+                    np.bitwise_and(hit, (tags.take(p) | np.uint64(1 << k))[:, None], out=sel)
+                    tags ^= sel
+                    pivot[k] = p
+                k += 1
+                seen &= seen - 1
+            if trailing:
+                _stack_update(stack.reshape(n * R, W), w, tags, pivot[: -(-k // 8) * 8].T)
+    return rank
+
+
+def _stack_update(rows: np.ndarray, w: int, tags: np.ndarray, pivot: np.ndarray) -> None:
+    """XOR into the words past w of each block's rows the pivot rows that their tags name.
+
+    rows holds the blocks' rows one after another, tags a 64-bit tag per
+    row in a (blocks, rows) array, and pivot[b, k] the index in rows of
+    block b's pivot k, for a multiple of 8 pivots; a block that took no
+    pivot k has no tag with bit k, whatever row pivot[b, k] names.  Entry
+    e of the table of block b and group g is the XOR of its pivot rows
+    8 g + j, j in e, as they stood on entry: each table is made before the
+    rows it reads are updated.  The tables go in column panels of at most
+    _TABLE_WORDS words, and the gathers in row blocks of at most _BLOCK_WORDS.
+    """
+    n, R = tags.shape
+    W = rows.shape[1]
+    groups = pivot.shape[1] // 8
+    tag_bytes = tags.view(np.uint8).reshape(n * R, 8)
+    panel = min(W - w - 1, max(1, _TABLE_WORDS // (256 * groups)))
+    per = max(1, _TABLE_WORDS // (256 * groups * panel))  # blocks per set of tables
+    step = max(1, _BLOCK_WORDS // panel)  # rows per gather
+    for t0 in range(0, n, per):
+        t1 = min(t0 + per, n)
+        for c0 in range(w + 1, W, panel):
+            cs = slice(c0, c0 + panel)
+            group = rows[pivot[t0:t1], cs].reshape(t1 - t0, groups, 8, -1)
+            tables = np.zeros((t1 - t0, groups, 256, group.shape[-1]), dtype=np.uint64)
+            for j in range(8):
+                np.bitwise_xor(tables[:, :, : 1 << j], group[:, :, j, None], out=tables[:, :, 1 << j : 2 << j])
+            tables = tables.reshape(-1, group.shape[-1])
+            for r0 in range(t0 * R, t1 * R, step):
+                r1 = min(r0 + step, t1 * R)
+                index = (np.arange(r0, r1) // R - t0) * (256 * groups)
+                X = rows[r0:r1, cs]
+                for g in range(groups):
+                    X ^= np.take(tables, index + tag_bytes[r0:r1, g], axis=0)
+                    index += 256
 
 
 def _set_bits(words: np.ndarray, pos: np.ndarray) -> None:
@@ -599,11 +664,11 @@ def _block_layout(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.nd
 
     A block is flipped, its columns laid out as rows, when it has more
     columns than rows and more than one word of them: its stack then takes
-    one column iteration per row, not per column.  A block of at most 64
-    columns takes one word per row either way, and flipping it would only
-    add padded rows.  shape is the laid-out rows << 32 | columns, both
-    rounded up to multiples of 8, and bits is the block's size in its stack:
-    its laid-out rows of whole words.
+    one strip per word of its rows, not of its columns, and fewer trailing
+    words at each.  A block of at most 64 columns takes one word per row
+    either way, and flipping it would only add padded rows.  shape is the
+    laid-out rows << 32 | columns, both rounded up to multiples of 8, and
+    bits is the block's size in its stack: its laid-out rows of whole words.
     """
     flip = cols > np.maximum(rows, WORD)
     tall = np.where(flip, cols, rows) + 7 >> 3 << 3
@@ -618,7 +683,7 @@ class _BlockStacks:
     form a (blocks, rows, words) stack, in the order given, and the stacks
     lie end to end in ``bits``, in order of shape.  ``fill`` sets the
     entries of blocks k at local (row, column), and ``rank`` sums the block
-    ranks, one lockstep elimination per stack (``_stack_rank``).
+    ranks, one lockstep strip elimination per stack (``_stack_rank``).
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray):
@@ -628,13 +693,13 @@ class _BlockStacks:
         self.first_bit = np.empty(rows.size, dtype=np.int64)
         self.first_bit[order] = np.cumsum(bits) - bits
         self.row_bits = np.empty(rows.size, dtype=np.int64)  # bits per laid-out row
-        self.layout = []  # per stack: (first word, blocks, rows, words, columns)
+        self.layout = []  # per stack: (first word, blocks, rows, words)
         edges = np.flatnonzero(np.diff(shape, prepend=-1, append=-1)).tolist()
         for b0, b1 in zip(edges, edges[1:]):
             tall, wide = int(shape[b0] >> 32), int(shape[b0] & 0xFFFFFFFF)
             words = -(-wide // WORD)
             self.row_bits[order[b0:b1]] = words * WORD
-            self.layout.append((int(self.first_bit[order[b0]]) // WORD, b1 - b0, tall, words, wide))
+            self.layout.append((int(self.first_bit[order[b0]]) // WORD, b1 - b0, tall, words))
         self.bits = np.zeros(int(bits.sum()) // WORD, dtype=np.uint64)
 
     def fill(self, k: np.ndarray, row: np.ndarray, col: np.ndarray) -> None:
@@ -643,6 +708,6 @@ class _BlockStacks:
 
     def rank(self) -> int:
         return sum(
-            _stack_rank(self.bits[start : start + blocks * rows * words].reshape(blocks, rows, words), cols)
-            for start, blocks, rows, words, cols in self.layout
+            _stack_rank(self.bits[start : start + blocks * rows * words].reshape(blocks, rows, words))
+            for start, blocks, rows, words in self.layout
         )

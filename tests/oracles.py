@@ -45,6 +45,40 @@ def pivot_rank(row_ints) -> int:
     return rank
 
 
+def stack_rank_by_columns(M: np.ndarray, cols: int) -> int:
+    """Sum of the ranks of the blocks M[b] of a (blocks, rows, words) stack, one column at a time.
+
+    The stack is eliminated in place for all blocks at once: at each of
+    the first cols columns, each block takes the first hit at or below its
+    pivot count as its pivot, swaps it into the pivot slot and XORs it into
+    its other hits.
+    """
+    B, R, _ = M.shape
+    piv = np.zeros(B, dtype=np.int64)
+    blocks = np.arange(B)
+    slots = np.arange(R)
+    one = np.uint64(1)
+    for col in range(cols):
+        lo = int(piv.min())
+        if lo == R:
+            break
+        hit = ((M[:, lo:, col >> 6] >> np.uint64(col & 63)) & one).astype(bool)
+        hit &= slots[lo:] >= piv[:, None]
+        first = hit.argmax(axis=1)
+        has = hit[blocks, first]
+        if not has.any():
+            continue
+        b = blocks[has]
+        p, f = piv[b], first[has] + lo
+        hit[b, f - lo] = False  # the pivot itself: after the swap that slot holds the old pivot-slot row
+        M[b, p], M[b, f] = M[b, f], M[b, p]
+        hb, hr = np.nonzero(hit)
+        if hb.size:
+            M[hb, hr + lo] ^= M[hb, piv[hb]]
+        piv[b] += 1
+    return int(piv.sum())
+
+
 def traced_peak(fn, *args):
     """Call fn(*args) under tracemalloc; return its result and the peak of traced bytes."""
     tracemalloc.start()

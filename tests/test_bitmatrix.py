@@ -5,13 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from storagecodes import bitmatrix
 from storagecodes.bitmatrix import BitMatrix, SparseBitMatrix
 from storagecodes.errors import BudgetError, ParameterError
 
-from oracles import mat_vec, pivot_rank, random_matrix, span_rank, traced_peak, transpose
+from oracles import mat_vec, pivot_rank, random_matrix, span_rank, stack_rank_by_columns, traced_peak, transpose
 
 # the 4x4 coset matrix of the smallest family member: rows e_x + e_{x^3}
 H4_ROWS = [0b1001, 0b0110, 0b0110, 0b1001]
@@ -634,8 +634,9 @@ def test_lockstep_rank_of_low_rank_blocks(blocks, seed):
 @given(st.lists(st.tuples(st.integers(1, 2 ** 20 - 1), int_blocks((0, 10), (21, 21), 21)),
                 min_size=1, max_size=6))
 def test_lockstep_rank_when_the_pivot_swap_displaces_a_row(blocks):
-    # rows 2x and 2x + 1 head each block and entries keep the drawn order, so column 0
-    # pivots on row 1 and the swap moves row 0 into the slot the pivot left
+    # rows 2x and 2x + 1 head each block and entries keep the drawn order, so bit 0
+    # first hits row 1, and row 0, which the pivot search finds first for a block
+    # with no hit, must stay a row of its own until a later bit reaches it
     rows, cols = [], []
     want = 0
     for b, (x, (_, rest)) in enumerate(blocks):
@@ -648,6 +649,54 @@ def test_lockstep_rank_when_the_pivot_swap_displaces_a_row(blocks):
                     cols.append(b << 8 | j)
     s = sparse(zip(rows, cols))
     assert s.rank() == s.compact().rank() == want
+
+
+STACK_KINDS = ["zero", "late", "sparse", "dense", "low-rank", "zero-middle", "full-rank"]
+
+
+def stack_block(kind: str, rows: int, cols: int, rng) -> np.ndarray:
+    """The words of a rows x cols block of one kind: all zero, late, or a strip_matrix kind."""
+    if kind == "zero":
+        return BitMatrix(rows, cols).words
+    if kind == "late":  # no hit at the first columns, where the other blocks take pivots
+        dense = rng.integers(0, 2, (rows, cols))
+        dense[:, : int(rng.integers(1, cols + 1))] = 0
+        return BitMatrix.from_dense(dense).words
+    return strip_matrix(kind, rows, cols, rng).words
+
+
+@pytest.mark.parametrize("table_words, block_words",
+                         [(bitmatrix._TABLE_WORDS, bitmatrix._BLOCK_WORDS), (256 * 8, 8), (256 * 16, 64)])
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 140),
+       st.lists(st.sampled_from(STACK_KINDS), min_size=1, max_size=5), st.integers(0, 2 ** 32 - 1))
+@example(cols=64, rows=64, kinds=["full-rank", "zero", "late"], seed=1)
+@example(cols=129, rows=140, kinds=["late", "full-rank", "low-rank", "full-rank"], seed=2)
+def test_strip_stack_rank_equals_the_column_rank(table_words, block_words, cols, rows, kinds, seed):
+    # 63 to 129 columns give stacks of one to three words, so strips end inside
+    # and at the edge of a word; a full-rank block of 64 rows or more takes 64
+    # pivots in strip 0, beside zero blocks and late blocks that take none there.  The
+    # patched scratch cuts the runs of blocks, table sets and row blocks down to
+    # one block and 8 rows, or to a few blocks and rows of a few words, so they split
+    rng = np.random.default_rng(seed)
+    M = np.stack([stack_block(kind, rows, cols, rng) for kind in kinds])
+    want = sum(pivot_rank(int.from_bytes(row.tobytes(), "little") for row in block) for block in M)
+    assert stack_rank_by_columns(M.copy(), cols) == want
+    with mock.patch.multiple(bitmatrix, _TABLE_WORDS=table_words, _BLOCK_WORDS=block_words):
+        assert bitmatrix._stack_rank(M) == want
+
+
+def test_strip_stack_rank_of_a_multi_word_stack_holds_fixed_scratch():
+    # 200 blocks of 200 x 300 bits, laid out along the long side as 304 rows of 4
+    # words (1.9 MB); the elimination holds a run of blocks of at most
+    # _BLOCK_WORDS rows, its tables and row blocks beside the stack, whatever its
+    # size: 1.13 MB here, where the column elimination took 2.93 MB
+    rng = np.random.default_rng(300)
+    M = np.stack([random_matrix(304, 200, rng).words for _ in range(200)])
+    M[:, 300:] = 0
+    rank, peak = traced_peak(bitmatrix._stack_rank, M)
+    assert rank == 200 * 200
+    assert peak <= 1_250_000
 
 
 @settings(max_examples=200, deadline=None)
@@ -677,15 +726,16 @@ def test_block_rank_of_an_identity_takes_no_stack_slots():
 
 
 def test_block_rank_lays_a_wide_block_out_along_its_long_side(monkeypatch):
-    # a 3 x 130 block is one stack of 130 laid-out rows of 3 columns, so its
-    # lockstep elimination takes 8 column iterations rather than 136
+    # a 3 x 130 block is one stack of 130 laid-out rows (136 with padding) of 3
+    # columns, so its lockstep elimination takes one 64-column strip of one word
+    # per row rather than three strips of three words
     rng = np.random.default_rng(130)
     block = [2 ** 130 - 1] + [int.from_bytes(rng.bytes(17), "little") >> 6 for _ in range(2)]
     s = shuffled_block_diagonal([as_bool_block(130, block)], 7)
     seen, stack_rank = [], bitmatrix._stack_rank
-    monkeypatch.setattr(bitmatrix, "_stack_rank", lambda M, cols: seen.append((M.shape, cols)) or stack_rank(M, cols))
+    monkeypatch.setattr(bitmatrix, "_stack_rank", lambda M: seen.append(M.shape) or stack_rank(M))
     assert s.rank() == pivot_rank(block) == 3
-    assert seen == [((1, 136, 1), 8)]
+    assert seen == [(1, 136, 1)]
 
 
 def test_block_rank_neither_compacts_nor_ranks_dense_blocks(monkeypatch):
