@@ -56,7 +56,8 @@ coefficient matrices, with about 3 rows and columns to every 4 entries,
 ``rank`` holds under 20 bytes per entry besides the 8 of the entry itself
 (tests hold the 84192 entries of n = 13 at t = 7 and the low half of
 n = 19 at t = 9).  The dense ``BitMatrix`` elimination stays separate: it
-is the independent route that the block ranks are checked against.
+is the independent route that the block ranks are checked against, and it
+ranks matrices over GF(2^m) by their bit expansion (``FieldMatrix.rank``).
 """
 
 from __future__ import annotations

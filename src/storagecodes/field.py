@@ -19,7 +19,8 @@ isomorphism permutes matrix rows and columns); this is covered by tests.
 
 FieldMatrix is a small dense matrix with entries in GF(2^m).  It exists for
 evaluation matrices of polynomials, whose entries are field values rather
-than bits, and carries its own Gaussian elimination over the field.
+than bits, and has no elimination of its own: it is ranked through its bit
+expansion by the dense GF(2) elimination of ``bitmatrix``.
 """
 
 from __future__ import annotations
@@ -253,29 +254,31 @@ class FieldMatrix:
         )
 
     def rank(self) -> int:
-        """Rank over GF(2^m) by Gaussian elimination with the log tables."""
-        f = self.field
-        V = self.values.copy()
-        rows, cols = V.shape
-        exp, log = f.exp_table, f.log_table
-        r = 0
-        for c in range(cols):
-            nz = np.nonzero(V[r:, c])[0]
-            if nz.size == 0:
-                continue
-            p = r + int(nz[0])
-            if p != r:
-                V[[r, p]] = V[[p, r]]
-            piv = int(V[r, c])
-            if piv != 1:
-                V[r] = f.mul_vec(V[r], np.int64(f.inv(piv)))
-            fac = V[r + 1 :, c]
-            hit = np.nonzero(fac)[0]
-            if hit.size:
-                prod = exp[log[fac[hit]][:, None] + log[V[r]][None, :]]
-                prod[:, V[r] == 0] = 0
-                V[r + 1 :][hit] ^= prod
-            r += 1
-            if r == rows:
-                break
-        return r
+        """Rank over GF(2^m): the GF(2) rank of the bit expansion, divided by m.
+
+        Entry a expands to the m x m bit matrix of x -> a x, bit s of a x^t in
+        row s and column t: the regular representation of the field over
+        GF(2), so rank r over the field is GF(2) rank m r (Lidl and
+        Niederreiter, *Finite Fields*).  The bits are gathered from one table
+        over the field into a ``BitMatrix``, packed a block of rows at a time
+        with rows (s, i) in a block, and ranked in place.  An expansion past
+        ``bitmatrix.MAX_BITS`` raises BudgetError.
+        """
+        from .bitmatrix import _BLOCK_WORDS, BitMatrix  # here, so that only a rank loads bitmatrix
+
+        f, m = self.field, self.field.m
+        rows, cols = self.shape
+        table = np.empty((m, f.q, m), dtype=bool)  # [s, a, t]: bit s of a x^t
+        products, shifts = np.arange(f.q), np.arange(m)[:, None]  # a x^t for every a, one t at a time
+        for t in range(m):
+            table[:, :, t] = products >> shifts & 1
+            products <<= 1
+            products ^= (products >> m) * f.modulus
+        out = BitMatrix(m * rows, m * cols)
+        block = max(1, 8 * _BLOCK_WORDS // max(1, m * m * cols))  # rows whose bits fill 128 KiB
+        for r0 in range(0, rows, block):
+            values = self.values[r0 : r0 + block]
+            bits = np.take(table, values, axis=1).reshape(m * len(values), m * cols)  # [s, i, j, t]
+            packed = np.packbits(bits, axis=1, bitorder="little")
+            out.words[m * r0 : m * (r0 + len(values))].view(np.uint8)[:, : packed.shape[1]] = packed
+        return out.rank(overwrite=True) // m

@@ -211,7 +211,7 @@ def _submasks(mask: int) -> np.ndarray:
 
 
 def _binomial_exponents(n: int, t: int, m: int | None = None) -> tuple[int, list[int]]:
-    """The period P of the row weights and N(r) for r = 0..2^t - 1, after the parameter and exponent checks."""
+    """The period P of the row weights and N(r), r < 2^t, after the parameter, EXP_MAX and PAIR_BUDGET checks."""
     if n < 1 or n % 2 == 0:
         raise ParameterError(f"n={n}: need an odd integer >= 1")
     if t < 1 or m is not None and t > m:
@@ -221,14 +221,11 @@ def _binomial_exponents(n: int, t: int, m: int | None = None) -> tuple[int, list
     top = period - 1 if m is None else period  # the largest exponent
     if top > EXP_MAX:  # before anything is listed
         raise BudgetError(f"exponent {top} outside 0..{EXP_MAX}")
-    return period, [0] + [(n * r - 1) % period + 1 for r in range(1, full + 1)]  # Python ints keep any n exact
-
-
-def _check_size(t: int, exps: list[int]) -> None:
-    """Raise BudgetError if d^(2^t - 1), with binomial exponents exps, has over PAIR_BUDGET monomials."""
+    exps = [0] + [(n * r - 1) % period + 1 for r in range(1, full + 1)]  # Python ints keep any n exact
     size = sum(1 << (e.bit_count() + t - r.bit_count()) for r, e in enumerate(exps))
     if size > PAIR_BUDGET:
-        raise BudgetError(f"d^{len(exps) - 1} has {size} monomials, over budget {PAIR_BUDGET}")
+        raise BudgetError(f"d^{full} has {size} monomials, over budget {PAIR_BUDGET}")
+    return period, exps
 
 
 def fermat_power(
@@ -260,7 +257,6 @@ def fermat_power(
     period, exps = _binomial_exponents(n, t, m)
     if keep is not None and any(len(table) != period for table in keep):
         raise ParameterError(f"a keep table needs {period} entries, one per row weight")
-    _check_size(t, exps)
     full = (1 << t) - 1
     tables = np.array([np.ones(period)] if keep is None else keep, dtype=bool).reshape(-1, period)
     tables = np.concatenate([tables, tables], axis=1)  # j + (n b mod P) < 2 P: read twice over
@@ -309,7 +305,6 @@ def _certificate_rank(n: int, t: int) -> int:
     as by ``fermat_power``.
     """
     _, exps = _binomial_exponents(n, t)
-    _check_size(t, exps)
     total = n * ((1 << t) - 1)
     classes = total // 2 + 1  # the row weights w of the low half, 2 w < T
     halves = (False, True) if t <= HALF_CHECK_T_MAX else (False,)  # is the half the high one

@@ -1,8 +1,10 @@
 """Independent brute-force oracles used across the test modules.
 
 Everything here avoids the package's elimination and enumeration paths on
-purpose: ranks come from enumerating row spans, parities from factorials,
-and set constructions from quadratic scans.  ``traced_peak`` measures the
+purpose: ranks come from enumerating row spans or from eliminations that
+share no code with the package's (over GF(2^m), by the field's log
+tables), parities from factorials, and set constructions from quadratic
+scans.  ``traced_peak`` measures the
 memory that the tests' caps bound.
 """
 
@@ -14,6 +16,7 @@ import numpy as np
 from storagecodes import polyf2
 from storagecodes.bitmatrix import BitMatrix
 from storagecodes.errors import ParameterError
+from storagecodes.field import FieldMatrix
 from storagecodes.graphs import connection_set
 from storagecodes.polyf2 import SparsePoly
 
@@ -77,6 +80,35 @@ def stack_rank_by_columns(M: np.ndarray, cols: int) -> int:
             M[hb, hr + lo] ^= M[hb, piv[hb]]
         piv[b] += 1
     return int(piv.sum())
+
+
+def field_rank_by_elimination(fm: FieldMatrix) -> int:
+    """Rank over GF(2^m) by Gaussian elimination with the log tables, on a copy of the values."""
+    f = fm.field
+    V = fm.values.copy()
+    rows, cols = V.shape
+    exp, log = f.exp_table, f.log_table
+    r = 0
+    for c in range(cols):
+        nz = np.nonzero(V[r:, c])[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            V[[r, p]] = V[[p, r]]
+        piv = int(V[r, c])
+        if piv != 1:
+            V[r] = f.mul_vec(V[r], np.int64(f.inv(piv)))
+        fac = V[r + 1 :, c]
+        hit = np.nonzero(fac)[0]
+        if hit.size:
+            prod = exp[log[fac[hit]][:, None] + log[V[r]][None, :]]
+            prod[:, V[r] == 0] = 0
+            V[r + 1 :][hit] ^= prod
+        r += 1
+        if r == rows:
+            break
+    return r
 
 
 def traced_peak(fn, *args):

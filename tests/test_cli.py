@@ -514,7 +514,9 @@ with open(sys.argv[1], "w") as fh:
     (["nm-table", "--m-max", "3"], 0, {"carryfree"},
      {"polyf2", "bitmatrix", "storage", "graphs", "verification", "numpy"}),
     (["code-report", "--n", "3", "--m", "2"], 0, {"storage", "polyf2", "graphs"}, {"verification"}),
-], ids=["version", "help", "usage-error", "certify", "nm-table", "code-report"])
+    (["field-info", "--m", "3"], 0, {"field"},
+     {"bitmatrix", "polyf2", "storage", "graphs", "carryfree", "verification"}),
+], ids=["version", "help", "usage-error", "certify", "nm-table", "code-report", "field-info"])
 def test_a_command_runs_only_the_modules_it_uses(tmp_path, argv, code, ran, unrun):
     out = tmp_path / "probe.json"
     subprocess.run([sys.executable, "-c", _LOADED_PROBE, str(out), *argv], cwd=tmp_path,

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from storagecodes import bitmatrix
 from storagecodes.bitmatrix import BitMatrix
 from storagecodes.errors import ParameterError
 from storagecodes.field import (
@@ -11,7 +15,7 @@ from storagecodes.field import (
     smallest_irreducible,
 )
 
-from oracles import span_rank
+from oracles import field_rank_by_elimination, span_rank, traced_peak
 
 
 def composite_sieve(max_degree: int) -> set:
@@ -181,3 +185,47 @@ def test_field_matrix_rank_binary_matches_bit_rank():
     for shape in ((0, 0), (0, 4), (4, 0)):
         zero = np.zeros(shape, dtype=np.int64)
         assert FieldMatrix(f, zero).rank() == BitMatrix.from_dense(zero).rank() == 0
+
+
+def field_product(f: GF2m, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b over the field, as a sum of one outer product per inner index."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i in range(a.shape[1]):
+        out ^= f.outer_mul(a[:, i], b[i])
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 40), st.integers(0, 40), st.none() | st.integers(0, 8),
+       st.sampled_from([bitmatrix._BLOCK_WORDS, 8]), st.integers(0, 2 ** 32 - 1))
+@example(3, 0, 0, None, bitmatrix._BLOCK_WORDS, 0)
+@example(3, 0, 4, None, bitmatrix._BLOCK_WORDS, 0)
+@example(3, 4, 0, None, bitmatrix._BLOCK_WORDS, 0)
+@example(5, 40, 13, 3, 8, 1)  # 65 expanded columns: one bit past the first word
+def test_field_matrix_rank_equals_the_elimination_over_the_field(m, rows, cols, k, block_words, seed):
+    # k None: independent entries; otherwise a rows x k times k x cols product, of rank at most k.
+    # With block_words 8 the expansion is packed a row or two at a time.
+    f = GF2m(m)
+    rng = np.random.default_rng(seed)
+    if k is None:
+        values = rng.integers(0, f.q, size=(rows, cols))
+    else:
+        values = field_product(f, rng.integers(0, f.q, size=(rows, k)), rng.integers(0, f.q, size=(k, cols)))
+    fm = FieldMatrix(f, values)
+    with mock.patch.object(bitmatrix, "_BLOCK_WORDS", block_words):
+        rank = fm.rank()
+    assert rank == field_rank_by_elimination(fm)
+    assert rank <= min(rows, cols, cols if k is None else k)
+    assert np.array_equal(fm.values, values)
+
+
+def test_field_matrix_rank_of_a_1024_square_within_memory():
+    # the bit expansion packs to 5120 x 5120 bits, 3.3 MB; field_rank_by_elimination,
+    # on a copy of the values, peaks at 32.9 MB, a whole byte-per-bit expansion at 55.8 MB
+    f = GF2m(5)
+    rng = np.random.default_rng(1024)
+    k = 37
+    fm = FieldMatrix(f, field_product(f, rng.integers(0, f.q, size=(1024, k)), rng.integers(0, f.q, size=(k, 1024))))
+    rank, peak = traced_peak(fm.rank)
+    assert rank == k
+    assert peak < 8 * 2 ** 20
