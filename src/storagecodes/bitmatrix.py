@@ -34,30 +34,19 @@ SparseBitMatrix holds only the positions of 1-entries, in one uint64 array
 of entries row << 32 | col (a coefficient matrix holds the polynomial's own
 monomial codes); a position listed twice is still one 1-entry.  Ranks are
 invariant under dropping all-zero rows and columns, so ``compact`` maps the
-occupied rows and columns, in sorted order, onto a dense BitMatrix.
-``rank`` splits the matrix into the connected components of its row-column
-graph instead: the matrix is block diagonal up to a permutation, so its
-rank is the sum of the block ranks.  The component pass also gives every
-entry its block and its row and column within the block, so no block is
-compacted.  A block of one row or one column has rank 1 and is counted
-without a stack.  The other blocks go into one block-stack layout
-(``_BlockStacks``), which the certificate route of ``polyf2`` fills with
-its weight classes too: a block wider than it is tall, and wider than a
-word, is laid out along its long side, and the blocks whose laid-out
-shapes round up to the same multiples of 8 form one (blocks, rows, words)
-stack, eliminated in lockstep (``_stack_rank``), one 64-column strip at a
-time as ``BitMatrix._echelon`` does: one masked pivot search per bit of a
-strip word, for every block of a run at once, then one update of the
-trailing words per strip.  The component pass labels rows and columns
-in int32, and the stacks are filled straight from each entry's block and
-local row and column.  Apart from in-place sorts, every pass over the
-entries or the nodes goes ``_CHUNK`` at a time.  So on certificate
-coefficient matrices, with about 3 rows and columns to every 4 entries,
-``rank`` holds under 20 bytes per entry besides the 8 of the entry itself
-(tests hold the 84192 entries of n = 13 at t = 7 and the low half of
-n = 19 at t = 9).  The dense ``BitMatrix`` elimination stays separate: it
-is the independent route that the block ranks are checked against, and it
-ranks matrices over GF(2^m) by their bit expansion (``FieldMatrix.rank``).
+occupied rows and columns, in sorted order, onto a dense BitMatrix, and
+``rank`` sets them as one block of the block-stack layout (``_BlockStacks``)
+instead.  The graded ranks of ``polyf2`` fill that layout with their weight
+classes, whose blocks the weight names: a block wider than it is tall, and
+wider than a word, is laid out along its long side, and the blocks whose
+laid-out shapes round up to the same multiples of 8 form one (blocks, rows,
+words) stack, eliminated in lockstep (``_stack_rank``), one 64-column strip
+at a time as ``BitMatrix._echelon`` does: one masked pivot search per bit
+of a strip word, for every block of a run at once, then one update of the
+trailing words per strip.  The dense ``BitMatrix`` elimination stays
+separate: it is the independent route that the block ranks are checked
+against, and it ranks matrices over GF(2^m) by their bit expansion
+(``FieldMatrix.rank``).
 """
 
 from __future__ import annotations
@@ -74,8 +63,6 @@ DENSE_BITS = 1 << 28  # byte cap for dense expansions (one byte per bit) and pol
 _TABLE_WORDS = 1 << 15  # XOR-table words per column panel of a strip update (256 KiB)
 _BLOCK_WORDS = 1 << 14  # words per row block of a strip update (128 KiB)
 _DUMP_ROWS = 64  # rows per block of the hex dump, so its temporaries stay far below one matrix
-_CHUNK = 1 << 12  # entries or nodes per chunk of SparseBitMatrix.rank's passes over them
-_MAX_ENTRIES = 1 << 30  # SparseBitMatrix.rank labels its rows and columns, together, in int32
 _LOW = np.uint64(0xFFFFFFFF)  # the column half of a SparseBitMatrix entry
 
 
@@ -402,159 +389,39 @@ class SparseBitMatrix:
         """Number of listed positions."""
         return int(self._entries.size)
 
+    def _occupied(self) -> tuple[int, int, np.ndarray, np.ndarray]:
+        """(R, C, row index, column index): each entry's place among the R occupied rows and C columns."""
+        urows, ridx = np.unique(self._entries >> np.uint64(32), return_inverse=True)
+        ucols, cidx = np.unique(self._entries & _LOW, return_inverse=True)
+        return int(urows.size), int(ucols.size), ridx, cidx
+
     def compact(self) -> BitMatrix:
         """Dense matrix on the occupied rows/columns, in sorted order.
 
         Dropping the untouched all-zero rows and columns does not change the
         rank, and the sorted order makes the result reproducible.
         """
-        urows, ridx = np.unique(self._entries >> np.uint64(32), return_inverse=True)
-        ucols, cidx = np.unique(self._entries & _LOW, return_inverse=True)
-        R, C = int(urows.size), int(ucols.size)
+        R, C, ridx, cidx = self._occupied()
         out = BitMatrix(R, C)
         _set_bits(out.words.reshape(-1), ridx.astype(np.int64) * (out.words.shape[1] * WORD) + cidx)
         return out
 
     def rank(self) -> int:
-        """GF(2) rank, summed over the connected blocks of the row-column graph.
+        """GF(2) rank of the occupied rows and columns, as one block of the ``_BlockStacks`` layout.
 
-        Rows and columns in different components share no entry, so permuting
-        them makes the matrix block diagonal and the rank is the sum of the
-        block ranks.  A block of one row or one column has rank 1 and takes no
-        stack.  Every other block is a block of one ``_BlockStacks`` layout,
-        filled a chunk of entries at a time from the block, row and column
-        indices of the component pass, and each stack of the layout is
-        eliminated in lockstep (``_stack_rank``).  Besides the entries, the
-        rank holds 8 bytes per entry, its int32 row and column labels, about
-        12 bytes per row or column, the stacks, and temporaries of ``_CHUNK``
-        items: under 20 bytes per entry on the certificate matrices.
+        The block is laid out along its long side and eliminated by
+        ``_stack_rank``, not by ``BitMatrix.rank``, so the two stay
+        independent routes.  A block over MAX_BITS raises BudgetError
+        before its stack is allocated.
         """
         if self.nnz == 0:
             return 0
-        if self.nnz >= _MAX_ENTRIES:
-            raise BudgetError(f"{self.nnz} entries exceed the {_MAX_ENTRIES}-entry cap of rank")
-        N = self.nnz
-        r = np.empty(N, dtype=np.int32)
-        c = np.empty(N, dtype=np.int32)
-        R = _dense_labels(self._entries & ~_LOW, r)
-        C = _dense_labels(self._entries << np.uint64(32), c)
-        c += R  # rows are nodes 0..R-1, columns R..R+C-1
-        label = _least_node_labels(r, c, R + C)
-        # number the components 0..K-1 in order of their least nodes, the
-        # labels' values, and write each node's component over its label
-        number = np.zeros(R + C, dtype=np.int32)
-        number[label] = 1
-        np.cumsum(number, out=number)
-        K = int(number[-1])
-        number -= 1
-        comp = label
-        for s in _chunks(R + C):
-            comp[s] = number[comp[s]]
-        del label, number
-        rows_in = np.bincount(comp[:R], minlength=K)
-        cols_in = np.bincount(comp[R:], minlength=K)
-        # a block of one row or one column has rank 1 and takes no stack; the
-        # others are numbered in order, and every row gets its block's number,
-        # or -1, before its component is overwritten
-        stacked = (rows_in > 1) & (cols_in > 1)
-        row_block = np.where(stacked, np.cumsum(stacked, dtype=np.int32) - 1, -1)[comp[:R]]
-        # the local index of a node, its place among its block's nodes of its
-        # kind, replaces its component
-        local = comp
-        _rank_within(comp[R:], cols_in, local[R:])
-        _rank_within(comp[:R], rows_in, local[:R])
-        stacks = _BlockStacks(rows_in[stacked], cols_in[stacked])
-        del rows_in, cols_in
-        for s in _chunks(N):
-            rs, cs = r[s], c[s]
-            k = row_block[rs]
-            kept = k >= 0
-            stacks.fill(k[kept], local[rs[kept]], local[cs[kept]])
-        del r, c, row_block, local
-        return K - int(np.count_nonzero(stacked)) + stacks.rank()
-
-
-def _chunks(size: int):
-    """Slices of at most _CHUNK items that cover range(size), in order."""
-    return (slice(k, min(k + _CHUNK, size)) for k in range(0, size, _CHUNK))
-
-
-def _sort_with_index(pairs: np.ndarray) -> None:
-    """Write each element's index into the low 32 bits of pairs, then sort pairs.
-
-    The high bits hold a key and the low 32 bits are zero on entry; once
-    sorted, the pairs list the keys in order, each with the indices of the
-    elements that hold it in increasing order, as a stable argsort would.
-    """
-    for s in _chunks(pairs.size):
-        pairs[s] |= np.arange(s.start, s.stop, dtype=pairs.dtype)
-    pairs.sort()
-
-
-def _dense_labels(pairs: np.ndarray, out: np.ndarray) -> int:
-    """Write the rank of each key among the distinct keys into out; return their number.
-
-    pairs is a uint64 array with each element's key in its high 32 bits and
-    zeros below, and is used up by ``_sort_with_index``; the ranks are then
-    counted along the sorted pairs a chunk at a time.
-    """
-    _sort_with_index(pairs)
-    distinct = 0  # the distinct keys before the chunk
-    for s in _chunks(pairs.size):
-        pair = pairs[s]
-        key = pair >> np.uint64(32)
-        rank = np.ones(key.size, dtype=np.int32)
-        np.not_equal(key[1:], key[:-1], out=rank[1:])
-        if s.start:
-            rank[0] = key[0] != pairs[s.start - 1] >> np.uint64(32)
-        np.cumsum(rank, out=rank)
-        rank += distinct - 1
-        out[pair & _LOW] = rank
-        distinct = int(rank[-1]) + 1
-    return distinct
-
-
-def _least_node_labels(r: np.ndarray, c: np.ndarray, nodes: int) -> np.ndarray:
-    """The least node of the component of every node, for edges r[k] -- c[k].
-
-    Min-label propagation with one pointer jump per round: labels only
-    decrease and stay inside their component, so the fixpoint gives each
-    component one label, its least node.  A round that lowers no label
-    leaves each component one label that labels itself, so the jump would
-    change nothing and the propagation stops there.  The edges are read a
-    chunk at a time.
-    """
-    label = np.arange(nodes, dtype=np.int32)
-    while True:
-        new = label.copy()
-        for s in _chunks(r.size):
-            rs, cs = r[s], c[s]
-            low = label[rs]
-            np.minimum(low, label[cs], out=low)
-            np.minimum.at(new, rs, low)
-            np.minimum.at(new, cs, low)
-        if np.array_equal(new, label):
-            return label
-        del label
-        label = new[new]
-
-
-def _rank_within(group: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
-    """Write into out, for each element, how many earlier elements share its group.
-
-    counts[g] is the size of group g, and group ids and indices are below
-    2^31.  Sorting the packed pairs (group, index) orders the elements as a
-    stable argsort would, in a fraction of its time; the pairs are read
-    back a chunk at a time.  out may be group itself.
-    """
-    order = np.left_shift(group, 32, dtype=np.int64)
-    _sort_with_index(order)
-    first = np.cumsum(counts) - counts  # the first place of each group in the order
-    for s in _chunks(group.size):
-        pair = order[s]
-        index = pair & 0xFFFFFFFF
-        pair >>= 32
-        out[index] = np.arange(s.start, s.stop) - first[pair]
+        R, C, ridx, cidx = self._occupied()
+        if R * C > MAX_BITS:
+            raise BudgetError(f"a block of {R}x{C} bits exceeds the {MAX_BITS}-bit cap")
+        stacks = _BlockStacks(np.array([R]), np.array([C]))
+        stacks.fill(0, ridx, cidx)
+        return stacks.rank()
 
 
 def _stack_rank(M: np.ndarray) -> int:
@@ -703,7 +570,7 @@ class _BlockStacks:
             self.layout.append((int(self.first_bit[order[b0]]) // WORD, b1 - b0, tall, words))
         self.bits = np.zeros(int(bits.sum()) // WORD, dtype=np.uint64)
 
-    def fill(self, k: np.ndarray, row: np.ndarray, col: np.ndarray) -> None:
+    def fill(self, k: np.ndarray | int, row: np.ndarray, col: np.ndarray) -> None:
         f = self.flip[k]
         _set_bits(self.bits, self.first_bit[k] + np.where(f, col, row) * self.row_bits[k] + np.where(f, row, col))
 

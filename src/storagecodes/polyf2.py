@@ -15,36 +15,38 @@ The polynomials the toolkit ranks are Fermat powers of d = (x1+y1)^n + x2 + y2:
 the certificate d^(2^t - 1) and W = red(d^(q - 1)), the indicator of d != 0
 on GF(q)^4.  The expansion has no cancellation, so neither route forms a
 product: ``fermat_power`` writes the codes of W down directly, and
-``_certificate_rank`` writes each entry of the certificate as one bit of
-its weight class's block; ``poly_mul`` and ``frobenius`` stay as the
-general operations, and the product of Frobenius copies is the reference
-route in the tests.  rank(p) is the GF(2) rank of the coefficient matrix,
-rows (e_x1, e_x2) and columns (e_y1, e_y2); a code is already that matrix's
+``_certificate_rank`` lists each entry of the certificate as its weight
+class, row and column; ``poly_mul`` and ``frobenius`` stay as the general
+operations, and the product of Frobenius copies is the reference route in
+the tests.  rank(p) is the GF(2) rank of the coefficient matrix, rows
+(e_x1, e_x2) and columns (e_y1, e_y2); a code is already that matrix's
 entry row << 32 | col, so ``coeff_matrix`` wraps p's array without a copy.
-``SparseBitMatrix.rank`` splits it into connected blocks.  Both routes
-then fill the one block-stack layout of ``bitmatrix``, with those blocks or
-with the certificate's weight classes, and eliminate the blocks of one
-rounded shape in lockstep.
 
 Both are ranked by weight.  Give x1 and y1 weight 1 and x2 and y2 weight n.
 Every monomial of d^(2^t - 1) has weight T = n (2^t - 1), and reduction mod
 x^q - x keeps weights mod q - 1, so every monomial of W has weight 0 mod
 q - 1.  The rows of weight w therefore meet only the columns of weight T - w
-(class -w for W), and the rank is the sum over the row weights.  Two
-symmetries leave most weights unranked.  d is symmetric under
-(x1, x2) <-> (y1, y2), so both matrices equal their own transposes, which
-take row weight w to T - w (class w to -w); and W is a 0/1 function, so
-W = W^2, which takes class w to class 2w.  ``_certificate_rank`` ranks the
-rows below T/2 and doubles the rank, and ``graded_ranks`` ranks one class
-per orbit of w -> 2w and w -> -w on Z/(q - 1), times the orbit size, for W,
-1 + W and D, W substituted (``substitute`` keeps each class and both
-symmetries).  ``graded_ranks`` writes its parts in one ``fermat_power``
-call that takes keep tables over the row weights, and the certificate
-writes only the stacks of its classes, so no route lists the rest of the
-power.  Each checks a symmetry by ranking a part it could skip: the high
-half up to HALF_CHECK_T_MAX, and class 2 of W beside class 1.  ``poly_rank``
-of the whole polynomial stays as the general rank and the reference the
-tests hold both against.
+(class -w for W), and the rank is the sum over the row weights.  Inside a
+class the weight names a row by its x2 exponent (up to x1 in {0, q - 1}
+for W) and a column by its y2 exponent, so one route serves both:
+``_class_ranks`` marks the occupied rows and columns of each class, fills
+each class as one block of the block-stack layout of ``bitmatrix`` and
+eliminates the blocks of one rounded shape in lockstep.  No block is
+searched for.  Two symmetries leave most weights unranked.  d is symmetric
+under (x1, x2) <-> (y1, y2), so both matrices equal their own transposes,
+which take row weight w to T - w (class w to -w); and W is a 0/1 function,
+so W = W^2, which takes class w to class 2w.  ``_certificate_rank`` ranks
+the rows below T/2 and doubles the rank, and ``graded_ranks`` ranks one
+class per orbit of w -> 2w and w -> -w on Z/(q - 1), times the orbit size,
+for W, 1 + W and D, W substituted (``substitute`` keeps each class and both
+symmetries), one part at a time (``_part_rank``).  ``graded_ranks`` writes
+its parts in one ``fermat_power`` call that takes keep tables over the row
+weights, and the certificate lists only the entries of its classes, so no
+route lists the rest of the power.  Each checks a symmetry by ranking a
+part it could skip: the high half up to HALF_CHECK_T_MAX, and class 2 of W
+beside class 1.  ``poly_rank`` of any polynomial stays as the general
+rank: ``SparseBitMatrix.rank`` sets its occupied rows and columns as one
+block of the same layout.
 """
 
 from __future__ import annotations
@@ -289,54 +291,72 @@ def _certificate_rank(n: int, t: int) -> int:
 
         M_w[b, c] = [b & c = 0] [w - n b >= 0] [(w - n b) submask of n (full ^ b ^ c)]
 
-    No code is formed.  A count pass over the entries (``_power_entries``)
-    marks the occupied rows (w, b) and columns (w, c), one bit each
-    (``_Keys``); the local index of a row or column in its class is the
-    number of marks of the class below it.  Each class is one block of the
-    stack layout that ``SparseBitMatrix.rank`` fills with its components
-    (``bitmatrix._BlockStacks``).  The classes, in order of shape, go in
-    buckets of at most CLASS_BITS stack bits (``_buckets``).  Per bucket a
-    fill pass writes every entry as one bit of its stack, and the stacks
-    are ranked.  Up to HALF_CHECK_T_MAX
-    the same passes also write the rows above T/2, each class T - w as the
-    transpose of class w, with marks of their own, and a different rank of
-    that half raises PropertyViolation.  Past it the passes list little more
-    than the low half.  The exponent cap and PAIR_BUDGET are checked first,
-    as by ``fermat_power``.
+    No code is formed: the entries come as (w, b, c) batches
+    (``_power_entries``) and go to ``_class_ranks`` keyed by class w, row b
+    and column c.  Up to HALF_CHECK_T_MAX the same batches also key the rows
+    above T/2, each class T - w as the transpose of class w, and a different
+    rank of that half raises PropertyViolation.  Past it the passes list
+    little more than the low half.  The exponent cap and PAIR_BUDGET are
+    checked first, as by ``fermat_power``.
     """
     _, exps = _binomial_exponents(n, t)
     total = n * ((1 << t) - 1)
-    classes = total // 2 + 1  # the row weights w of the low half, 2 w < T
-    halves = (False, True) if t <= HALF_CHECK_T_MAX else (False,)  # is the half the high one
-    keys = [(_Keys(classes, t), _Keys(classes, t)) for _ in halves]  # its rows and its columns
-    slot = np.full(total + 1, -1, dtype=np.int64)  # the place of a class in its pass, or -1
-    slot[:classes] = np.arange(classes)
-    top = total if len(halves) > 1 else total // 2  # the largest row weight a pass needs
-    for batch in _power_entries(n, t, exps, top):
-        for high, (rows, cols) in zip(halves, keys):
-            cls, _, row, col = _half_entries(batch, total, high, slot)
-            rows.mark(cls, row)
-            cols.mark(cls, col)
-    for rows, cols in keys:
-        rows.index()
-        cols.index()
-    ranks = [0] * len(halves)
-    for bucket in _buckets(keys[0][0].sizes, keys[0][1].sizes):
-        slot.fill(-1)
-        slot[bucket] = np.arange(bucket.size)
-        blocks = [_BlockStacks(rows.sizes[bucket], cols.sizes[bucket]) for rows, cols in keys]
-        for batch in _power_entries(n, t, exps, top):
-            for high, (rows, cols), half in zip(halves, keys, blocks):
-                cls, k, row, col = _half_entries(batch, total, high, slot)
-                half.fill(k, rows.local(cls, row), cols.local(cls, col))
-        for h, half in enumerate(blocks):
-            ranks[h] += half.rank()
-        del blocks  # before the next bucket's are allocated
-    if len(ranks) > 1 and ranks[1] != ranks[0]:
+    both = t <= HALF_CHECK_T_MAX
+
+    def batches():  # the high half keys an entry as its transpose: class T - w, row c, column b
+        for w, b, c in _power_entries(n, t, exps, total if both else total // 2):
+            yield [(w, b, c), (total - w, c, b)] if both else [(w, b, c)]
+
+    ranks = _class_ranks(batches, 1 + both, total // 2 + 1, t)
+    if both and ranks[1] != ranks[0]:
         raise PropertyViolation(
             f"n={n} t={t}: the rows of weight below {total}/2 have rank {ranks[0]}, those above {ranks[1]}"
         )
     return 2 * ranks[0]
+
+
+def _class_ranks(batches, halves: int, classes: int, t: int) -> list[int]:
+    """The GF(2) ranks of `halves` matrices, ranked side by side, whose rows of class w meet one class of columns.
+
+    The matrices are the two halves of a certificate, or one part of a code
+    report.  batches() yields their entries a batch at a time, as one
+    (class, row key, column key) triple of int64 arrays per matrix; keys
+    are below 2^t, and entries of a class at or past classes are skipped.
+    A count pass marks the occupied rows and columns of every class, one
+    bit each (``_Keys``): the local index of a row or column in its class is
+    the number of marks of the class below it, so no entry is sorted and no
+    block is searched for.  Each class is one block of the stack layout of
+    ``bitmatrix`` (``_BlockStacks``).  The classes, in order of shape, go in
+    buckets of at most CLASS_BITS stack bits (``_buckets``); per bucket a
+    fill pass writes every entry as one bit of its stack, and the stacks are
+    ranked.  The halves share their shapes, so the buckets follow the first.
+    """
+    keys = [(_Keys(classes, t), _Keys(classes, t)) for _ in range(halves)]  # its rows and its columns
+    slot = np.append(np.arange(classes), -1)  # the place of a class in its pass, or -1; clipped reads give -1
+    for batch in batches():
+        for (rows, cols), (cls, row, col) in zip(keys, batch):
+            kept = slot.take(cls, mode="clip") >= 0
+            cls = cls[kept]
+            rows.mark(cls, row[kept])
+            cols.mark(cls, col[kept])
+    for rows, cols in keys:
+        rows.index()
+        cols.index()
+    ranks = [0] * halves
+    for bucket in _buckets(keys[0][0].sizes, keys[0][1].sizes):
+        slot.fill(-1)
+        slot[bucket] = np.arange(bucket.size)
+        blocks = [_BlockStacks(rows.sizes[bucket], cols.sizes[bucket]) for rows, cols in keys]
+        for batch in batches():
+            for (rows, cols), half, (cls, row, col) in zip(keys, blocks, batch):
+                k = slot.take(cls, mode="clip")
+                kept = k >= 0
+                cls = cls[kept]
+                half.fill(k[kept], rows.local(cls, row[kept]), cols.local(cls, col[kept]))
+        for h, half in enumerate(blocks):
+            ranks[h] += half.rank()
+        del blocks  # before the next bucket's are allocated
+    return ranks
 
 
 def _power_entries(n: int, t: int, exps: list[int], top: int):
@@ -375,23 +395,8 @@ def _power_entries(n: int, t: int, exps: list[int], top: int):
     yield batch[:, :size]
 
 
-def _half_entries(batch, total: int, high: bool, slot: np.ndarray):
-    """(class, its slot, row key, column key) of the batch's entries in one half, in slotted classes.
-
-    The low half keys an entry by its row weight w, b and c.  The high half
-    keys it as its transpose: class T - w, row key c and column key b, so
-    that, by the symmetry, both halves have the same classes and shapes.
-    slot has T + 1 entries, -1 at every class above T/2 and outside the pass.
-    """
-    w, b, c = batch
-    cls, row, col = (total - w, c, b) if high else (w, b, c)
-    k = slot[cls]
-    kept = k >= 0
-    return cls[kept], k[kept], row[kept], col[kept]
-
-
 class _Keys:
-    """The occupied (class, key) pairs of one side of a half, one bit at class << t | key each.
+    """The occupied (class, key) pairs of the rows or the columns of a half, one bit at class << t | key each.
 
     ``mark`` sets bits.  ``index`` then counts the marks before every word
     and every class, so that the local index of a key, its place among the
@@ -469,19 +474,34 @@ def graded_ranks(n: int, m: int) -> tuple[int, int, int]:
     rank of its least class, and 1 + W differs from W in class 0 alone.  One
     fermat_power call writes every part of _orbit_parts and class 2 of W,
     each alone (one keep table per part), so the whole of W is never listed.
-    For m >= 2 a rank of class 2 other than that of class 1 raises
-    PropertyViolation.
+    Every part is ranked by its classes (``_part_rank``).  For m >= 2 a rank
+    of class 2 other than that of class 1 raises PropertyViolation.
     """
     period = (1 << m) - 1
     sizes, keeps = zip(*_orbit_parts(m))
     *parts, class_2 = fermat_power(n, m, m, [*keeps, np.arange(period) == 2])
-    ranks_w = [poly_rank(p) for p in parts]
-    if period > 1 and (rank_2 := poly_rank(class_2)) != ranks_w[1]:
+    ranks_w = [_part_rank(p, n, m) for p in parts]
+    if period > 1 and (rank_2 := _part_rank(class_2, n, m)) != ranks_w[1]:
         raise PropertyViolation(f"n={n} m={m}: class 2 of W has rank {rank_2}, class 1 {ranks_w[1]}")
     rank_w = sum(size * rank for size, rank in zip(sizes, ranks_w))
-    rank_h = rank_w - ranks_w[0] + poly_rank(parts[0] + SparsePoly.one())
-    rank_d = sum(size * poly_rank(substitute(p, n, m)) for size, p in zip(sizes, parts))
+    rank_h = rank_w - ranks_w[0] + _part_rank(parts[0] + SparsePoly.one(), n, m)
+    rank_d = sum(size * _part_rank(substitute(p, n, m), n, m) for size, p in zip(sizes, parts))
     return rank_h, rank_w, rank_d
+
+
+def _part_rank(p: SparsePoly, n: int, m: int) -> int:
+    """rank(p) for p reduced mod x^q - x, q = 2^m, with every monomial of weight 0 mod q - 1.
+
+    A row (x1, x2) of class w = (x1 + n x2) mod (q - 1) meets only the
+    columns of class -w, and inside its class it is fixed by x2 up to
+    x1 in {0, q - 1}: its key is x2 * 2 + [x1 = q - 1], and a column's
+    y2 * 2 + [y1 = q - 1].  One batch of these keys, made from p's codes,
+    goes to ``_class_ranks``.
+    """
+    period = (1 << m) - 1
+    x1, x2, y1, y2 = ((p._codes >> np.uint64(sh) & np.uint64(EXP_MAX)).astype(np.int64) for sh in _SHIFTS)
+    batch = [((x1 + n % period * x2) % period, x2 << 1 | (x1 == period), y2 << 1 | (y1 == period))]
+    return _class_ranks(lambda: [batch], 1, period, m + 1)[0]
 
 
 def substitute(p: SparsePoly, n: int, m: int) -> SparsePoly:
@@ -507,7 +527,7 @@ def coeff_matrix(p: SparsePoly) -> SparseBitMatrix:
 
 
 def poly_rank(p: SparsePoly) -> int:
-    """GF(2) rank of the coefficient matrix, ranked block by block."""
+    """GF(2) rank of the coefficient matrix, its occupied rows and columns ranked as one block."""
     return coeff_matrix(p).rank()
 
 

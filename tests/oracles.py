@@ -4,8 +4,10 @@ Everything here avoids the package's elimination and enumeration paths on
 purpose: ranks come from enumerating row spans or from eliminations that
 share no code with the package's (over GF(2^m), by the field's log
 tables), parities from factorials, and set constructions from quadratic
-scans.  ``traced_peak`` measures the
-memory that the tests' caps bound.
+scans.  The one exception is ``sparse_rank_by_components``: it finds the
+blocks of a coefficient matrix by its connected components rather than
+by weight class, and ranks them on the package's block stacks.
+``traced_peak`` measures the memory that the tests' caps bound.
 """
 
 import math
@@ -14,8 +16,8 @@ import tracemalloc
 import numpy as np
 
 from storagecodes import polyf2
-from storagecodes.bitmatrix import BitMatrix
-from storagecodes.errors import ParameterError
+from storagecodes.bitmatrix import _LOW, BitMatrix, SparseBitMatrix, _BlockStacks
+from storagecodes.errors import BudgetError, ParameterError
 from storagecodes.field import FieldMatrix
 from storagecodes.graphs import connection_set
 from storagecodes.polyf2 import SparsePoly
@@ -80,6 +82,151 @@ def stack_rank_by_columns(M: np.ndarray, cols: int) -> int:
             M[hb, hr + lo] ^= M[hb, piv[hb]]
         piv[b] += 1
     return int(piv.sum())
+
+
+_CHUNK = 1 << 12  # entries or nodes per chunk of sparse_rank_by_components's passes over them
+_MAX_ENTRIES = 1 << 30  # sparse_rank_by_components labels its rows and columns, together, in int32
+
+
+def sparse_rank_by_components(matrix: SparseBitMatrix) -> int:
+    """GF(2) rank, summed over the connected blocks of the row-column graph.
+
+    Rows and columns in different components share no entry, so permuting
+    them makes the matrix block diagonal and the rank is the sum of the
+    block ranks.  A block of one row or one column has rank 1 and takes no
+    stack.  Every other block is a block of one ``_BlockStacks`` layout,
+    filled a chunk of entries at a time from the block, row and column
+    indices of the component pass, and each stack of the layout is
+    eliminated in lockstep (``_stack_rank``).  The blocks are found by
+    sorting and label propagation, not by weight, so this is the reference
+    the class route of ``polyf2`` is held against.
+    """
+    if matrix.nnz == 0:
+        return 0
+    if matrix.nnz >= _MAX_ENTRIES:
+        raise BudgetError(f"{matrix.nnz} entries exceed the {_MAX_ENTRIES}-entry cap of rank")
+    N = matrix.nnz
+    r = np.empty(N, dtype=np.int32)
+    c = np.empty(N, dtype=np.int32)
+    R = _dense_labels(matrix._entries & ~_LOW, r)
+    C = _dense_labels(matrix._entries << np.uint64(32), c)
+    c += R  # rows are nodes 0..R-1, columns R..R+C-1
+    label = _least_node_labels(r, c, R + C)
+    # number the components 0..K-1 in order of their least nodes, the
+    # labels' values, and write each node's component over its label
+    number = np.zeros(R + C, dtype=np.int32)
+    number[label] = 1
+    np.cumsum(number, out=number)
+    K = int(number[-1])
+    number -= 1
+    comp = label
+    for s in _chunks(R + C):
+        comp[s] = number[comp[s]]
+    del label, number
+    rows_in = np.bincount(comp[:R], minlength=K)
+    cols_in = np.bincount(comp[R:], minlength=K)
+    # a block of one row or one column has rank 1 and takes no stack; the
+    # others are numbered in order, and every row gets its block's number,
+    # or -1, before its component is overwritten
+    stacked = (rows_in > 1) & (cols_in > 1)
+    row_block = np.where(stacked, np.cumsum(stacked, dtype=np.int32) - 1, -1)[comp[:R]]
+    # the local index of a node, its place among its block's nodes of its
+    # kind, replaces its component
+    local = comp
+    _rank_within(comp[R:], cols_in, local[R:])
+    _rank_within(comp[:R], rows_in, local[:R])
+    stacks = _BlockStacks(rows_in[stacked], cols_in[stacked])
+    del rows_in, cols_in
+    for s in _chunks(N):
+        rs, cs = r[s], c[s]
+        k = row_block[rs]
+        kept = k >= 0
+        stacks.fill(k[kept], local[rs[kept]], local[cs[kept]])
+    del r, c, row_block, local
+    return K - int(np.count_nonzero(stacked)) + stacks.rank()
+
+
+def _chunks(size: int):
+    """Slices of at most _CHUNK items that cover range(size), in order."""
+    return (slice(k, min(k + _CHUNK, size)) for k in range(0, size, _CHUNK))
+
+
+def _sort_with_index(pairs: np.ndarray) -> None:
+    """Write each element's index into the low 32 bits of pairs, then sort pairs.
+
+    The high bits hold a key and the low 32 bits are zero on entry; once
+    sorted, the pairs list the keys in order, each with the indices of the
+    elements that hold it in increasing order, as a stable argsort would.
+    """
+    for s in _chunks(pairs.size):
+        pairs[s] |= np.arange(s.start, s.stop, dtype=pairs.dtype)
+    pairs.sort()
+
+
+def _dense_labels(pairs: np.ndarray, out: np.ndarray) -> int:
+    """Write the rank of each key among the distinct keys into out; return their number.
+
+    pairs is a uint64 array with each element's key in its high 32 bits and
+    zeros below, and is used up by ``_sort_with_index``; the ranks are then
+    counted along the sorted pairs a chunk at a time.
+    """
+    _sort_with_index(pairs)
+    distinct = 0  # the distinct keys before the chunk
+    for s in _chunks(pairs.size):
+        pair = pairs[s]
+        key = pair >> np.uint64(32)
+        rank = np.ones(key.size, dtype=np.int32)
+        np.not_equal(key[1:], key[:-1], out=rank[1:])
+        if s.start:
+            rank[0] = key[0] != pairs[s.start - 1] >> np.uint64(32)
+        np.cumsum(rank, out=rank)
+        rank += distinct - 1
+        out[pair & _LOW] = rank
+        distinct = int(rank[-1]) + 1
+    return distinct
+
+
+def _least_node_labels(r: np.ndarray, c: np.ndarray, nodes: int) -> np.ndarray:
+    """The least node of the component of every node, for edges r[k] -- c[k].
+
+    Min-label propagation with one pointer jump per round: labels only
+    decrease and stay inside their component, so the fixpoint gives each
+    component one label, its least node.  A round that lowers no label
+    leaves each component one label that labels itself, so the jump would
+    change nothing and the propagation stops there.  The edges are read a
+    chunk at a time.
+    """
+    label = np.arange(nodes, dtype=np.int32)
+    while True:
+        new = label.copy()
+        for s in _chunks(r.size):
+            rs, cs = r[s], c[s]
+            low = label[rs]
+            np.minimum(low, label[cs], out=low)
+            np.minimum.at(new, rs, low)
+            np.minimum.at(new, cs, low)
+        if np.array_equal(new, label):
+            return label
+        del label
+        label = new[new]
+
+
+def _rank_within(group: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
+    """Write into out, for each element, how many earlier elements share its group.
+
+    counts[g] is the size of group g, and group ids and indices are below
+    2^31.  Sorting the packed pairs (group, index) orders the elements as a
+    stable argsort would, in a fraction of its time; the pairs are read
+    back a chunk at a time.  out may be group itself.
+    """
+    order = np.left_shift(group, 32, dtype=np.int64)
+    _sort_with_index(order)
+    first = np.cumsum(counts) - counts  # the first place of each group in the order
+    for s in _chunks(group.size):
+        pair = order[s]
+        index = pair & 0xFFFFFFFF
+        pair >>= 32
+        out[index] = np.arange(s.start, s.stop) - first[pair]
 
 
 def field_rank_by_elimination(fm: FieldMatrix) -> int:
@@ -251,16 +398,17 @@ def graded_part(p: SparsePoly, n: int, keep, period: int | None = None) -> Spars
 
 
 def certificate_rank_by_components(n: int, t: int) -> int:
-    """rank(d^(2^t - 1)) by the codes: both halves as fermat_power parts, each through poly_rank.
+    """rank(d^(2^t - 1)) by the codes: both halves as fermat_power parts, each by its components.
 
     The halves are the rows of weight below and above T/2, T = n (2^t - 1);
-    each is ranked by the components of its coefficient matrix, and they
-    must agree.  It calls polyf2.fermat_power and polyf2.poly_rank through
-    the module, so stubs on either reach it.
+    each is ranked by the components of its coefficient matrix
+    (``sparse_rank_by_components``), and they must agree.  It calls
+    polyf2.fermat_power through the module, so a stub on it reaches it.
     """
     total = n * ((1 << t) - 1)
     low = 2 * np.arange(total + 1) < total
-    rank, high = (polyf2.poly_rank(part) for part in polyf2.fermat_power(n, t, keep=[low, ~low]))
+    rank, high = (sparse_rank_by_components(polyf2.coeff_matrix(part))
+                  for part in polyf2.fermat_power(n, t, keep=[low, ~low]))
     assert rank == high, (n, t, rank, high)
     return 2 * rank
 

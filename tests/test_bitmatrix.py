@@ -1,6 +1,7 @@
 import functools
 import io
 import operator
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,10 +9,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from storagecodes import bitmatrix
-from storagecodes.bitmatrix import BitMatrix, SparseBitMatrix
+from storagecodes.bitmatrix import BitMatrix, SparseBitMatrix, _BlockStacks
 from storagecodes.errors import BudgetError, ParameterError
 
-from oracles import mat_vec, pivot_rank, random_matrix, span_rank, stack_rank_by_columns, traced_peak, transpose
+from oracles import (
+    mat_vec,
+    pivot_rank,
+    random_matrix,
+    span_rank,
+    sparse_rank_by_components,
+    stack_rank_by_columns,
+    traced_peak,
+    transpose,
+)
 
 # the 4x4 coset matrix of the smallest family member: rows e_x + e_{x^3}
 H4_ROWS = [0b1001, 0b0110, 0b0110, 0b1001]
@@ -513,11 +523,9 @@ def test_block_rank_leaves_the_key_arrays_unchanged(entries, data):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=2, max_size=60),
-       st.sampled_from(["strided", "descending"]), st.sampled_from([1, 2, 3, 7, bitmatrix._CHUNK]))
-def test_block_rank_of_strided_and_unsorted_entry_arrays(entries, layout, chunk):
-    # the rank cuts each entry's row and column out as 32-bit keys and reads
-    # them a chunk at a time; chunks of a few entries put chunk ends inside
-    # runs of equal keys
+       st.sampled_from(["strided", "descending"]))
+def test_block_rank_of_strided_and_unsorted_entry_arrays(entries, layout):
+    # the rank cuts each entry's row and column out of the caller's array as it stands
     array = np.sort(entry_array([r for r, _ in entries], [c for _, c in entries]))
     if layout == "strided":  # every other word of a buffer whose other words are set
         buffer = np.full(2 * array.size, np.uint64(2 ** 64 - 1))
@@ -529,18 +537,25 @@ def test_block_rank_of_strided_and_unsorted_entry_arrays(entries, layout, chunk)
     before = buffer.copy()
     s = SparseBitMatrix(array)
     assert s._entries is array
-    with mock.patch.object(bitmatrix, "_CHUNK", chunk):
-        rank = s.rank()
+    rank = s.rank()
     assert np.array_equal(buffer, before)
     assert rank == s.compact().rank()
 
 
-def test_block_rank_refuses_more_entries_than_int32_labels_can_number(monkeypatch):
-    # rows and columns share one int32 label space, so the cap keeps R + C below 2^31
-    monkeypatch.setattr(bitmatrix, "_MAX_ENTRIES", 3)
-    assert sparse([(0, 0), (1, 1)]).rank() == 2
-    with pytest.raises(BudgetError):
-        sparse([(i, i) for i in range(3)]).rank()
+def test_block_rank_refuses_a_block_past_the_bit_cap_before_allocating():
+    # a 2^17-entry diagonal is one block of 2^17 x 2^17 = 2^34 bits, past MAX_BITS
+    # and 2 GiB as a stack; the refusal holds only np.unique's indices and
+    # temporaries, a 9.57 MB peak, and the cap sits 10% above that
+    n = 1 << 17
+    s = SparseBitMatrix(entry_array(np.arange(n), np.arange(n)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match=f"block of {n}x{n} bits exceeds"):
+            s.rank()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10_500_000
 
 
 def dense_blocks(max_blocks=8, max_side=6):
@@ -571,13 +586,32 @@ def shuffled_block_diagonal(blocks, seed):
     return SparseBitMatrix(entry_array(rows, cols))
 
 
+def block_stacks(blocks, again: float = 0.0, seed: int = 0) -> _BlockStacks:
+    """The bool blocks in one stack layout, each entry filled at its block and its row and column in the block.
+
+    A share again of the entries, drawn by seed, is filled a second time.
+    """
+    entries = [(b, i, j) for b, block in enumerate(blocks)
+               for i, row in enumerate(block) for j, bit in enumerate(row) if bit]
+    k, rows, cols = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+    shapes = np.array([(len(block), len(block[0])) for block in blocks], dtype=np.int64).reshape(-1, 2)
+    stacks = _BlockStacks(shapes[:, 0], shapes[:, 1])
+    stacks.fill(k, rows, cols)
+    twice = np.random.default_rng(seed).random(k.size) < again
+    stacks.fill(k[twice], rows[twice], cols[twice])
+    return stacks
+
+
 @settings(max_examples=200, deadline=None)
 @given(dense_blocks(), st.integers(0, 2 ** 32 - 1))
 def test_block_rank_of_shuffled_block_diagonal_matrices(blocks, seed):
+    # the blocks share one stack layout, and the component pass of the
+    # reference finds them again in the shuffled matrix
     s = shuffled_block_diagonal(blocks, seed)
     want = sum(pivot_rank(int("".join("1" if b else "0" for b in row), 2) for row in block)
                for block in blocks)
-    assert s.rank() == s.compact().rank() == want
+    assert block_stacks(blocks).rank() == want
+    assert s.rank() == sparse_rank_by_components(s) == s.compact().rank() == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -587,7 +621,7 @@ def test_block_rank_of_single_row_and_single_column_blocks(shapes, seed):
     # k up to 130 makes the 1 x k blocks span up to three 64-bit words
     blocks = [[[True] * k] if wide else [[True]] * k for wide, k in shapes]
     s = shuffled_block_diagonal(blocks, seed)
-    assert s.rank() == s.compact().rank() == len(blocks)
+    assert block_stacks(blocks).rank() == s.rank() == s.compact().rank() == len(blocks)
 
 
 @st.composite
@@ -606,9 +640,10 @@ def as_bool_block(cols, row_ints):
 
 
 def assert_block_rank(blocks, seed):
-    """rank of the shuffled block-diagonal matrix = flat rank = sum of the block ranks."""
-    s = shuffled_block_diagonal([as_bool_block(cols, rows) for cols, rows in blocks], seed)
-    assert s.rank() == s.compact().rank() == sum(pivot_rank(rows) for _, rows in blocks)
+    """rank in one stack layout = rank of the shuffled block-diagonal matrix = sum of the block ranks."""
+    bool_blocks = [as_bool_block(cols, rows) for cols, rows in blocks]
+    s = shuffled_block_diagonal(bool_blocks, seed)
+    assert block_stacks(bool_blocks).rank() == s.rank() == sum(pivot_rank(rows) for _, rows in blocks)
 
 
 @settings(max_examples=150, deadline=None)
@@ -634,21 +669,12 @@ def test_lockstep_rank_of_low_rank_blocks(blocks, seed):
 @given(st.lists(st.tuples(st.integers(1, 2 ** 20 - 1), int_blocks((0, 10), (21, 21), 21)),
                 min_size=1, max_size=6))
 def test_lockstep_rank_when_the_pivot_swap_displaces_a_row(blocks):
-    # rows 2x and 2x + 1 head each block and entries keep the drawn order, so bit 0
-    # first hits row 1, and row 0, which the pivot search finds first for a block
+    # rows 2x and 2x + 1 head each block and keep their places, so bit 0 first
+    # hits row 1, and row 0, which the pivot search finds first for a block
     # with no hit, must stay a row of its own until a later bit reaches it
-    rows, cols = [], []
-    want = 0
-    for b, (x, (_, rest)) in enumerate(blocks):
-        block = [x << 1, x << 1 | 1, *rest]
-        want += pivot_rank(block)
-        for i, v in enumerate(block):
-            for j in range(22):
-                if v >> j & 1:
-                    rows.append(b << 8 | i)
-                    cols.append(b << 8 | j)
-    s = sparse(zip(rows, cols))
-    assert s.rank() == s.compact().rank() == want
+    blocks = [[x << 1, x << 1 | 1, *rest] for x, (_, rest) in blocks]
+    want = sum(pivot_rank(block) for block in blocks)
+    assert block_stacks([as_bool_block(22, block) for block in blocks]).rank() == want
 
 
 STACK_KINDS = ["zero", "late", "sparse", "dense", "low-rank", "zero-middle", "full-rank"]
@@ -704,25 +730,15 @@ def test_strip_stack_rank_of_a_multi_word_stack_holds_fixed_scratch():
                           int_blocks((2, 20), (2, 20), 20)), max_size=10),
        st.integers(0, 2 ** 32 - 1))
 def test_block_rank_of_thin_blocks_among_larger_ones_with_repeated_positions(blocks, seed):
-    # 1 x k and k x 1 blocks count 1 each without a stack slot, beside blocks
-    # that take one; about a third of the positions are listed twice
-    s = shuffled_block_diagonal([as_bool_block(cols, rows) for cols, rows in blocks], seed)
+    # 1 x k and k x 1 blocks share the stack layout with larger blocks; about
+    # a third of the positions are listed, or filled, twice
+    bool_blocks = [as_bool_block(cols, rows) for cols, rows in blocks]
+    s = shuffled_block_diagonal(bool_blocks, seed)
     rng = np.random.default_rng(seed)
     twice = SparseBitMatrix(rng.permutation(np.concatenate([s._entries, s._entries[rng.random(s.nnz) < 0.3]])))
     want = sum(pivot_rank(rows) for _, rows in blocks)
+    assert block_stacks(bool_blocks, 0.3, seed).rank() == want
     assert twice.rank() == (twice.compact().rank() if twice.nnz else 0) == want
-
-
-def test_block_rank_of_an_identity_takes_no_stack_slots():
-    # 100000 1 x 1 blocks took an 8 x 8 stack slot each, a peak of 228 bytes per
-    # entry under tracemalloc; counted without a slot they peaked at 78 bytes per
-    # entry, and now, filled into a stack layout of the other blocks alone, at
-    # 54, the component pass alone; the cap stays 10% above the 78
-    n = 100_000
-    s = SparseBitMatrix(entry_array(np.arange(n), np.arange(n)))
-    rank, peak = traced_peak(s.rank)
-    assert rank == n
-    assert peak <= 8_600_000
 
 
 def test_block_rank_lays_a_wide_block_out_along_its_long_side(monkeypatch):

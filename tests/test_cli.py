@@ -166,8 +166,8 @@ def test_code_report_rejects_before_any_product(capsys, monkeypatch, m):
 
 
 def test_code_report_exits_4_when_the_rank_routes_disagree(capsys, monkeypatch):
-    rank = polyf2.poly_rank
-    monkeypatch.setattr(polyf2, "poly_rank", lambda p: rank(p) + 1)
+    part_rank = polyf2._part_rank
+    monkeypatch.setattr(polyf2, "_part_rank", lambda p, n, m: part_rank(p, n, m) + 1)
     code, out, err = run_cli(capsys, "code-report", "--n", "3", "--m", "2")
     assert (code, out) == (4, "")
     assert err.startswith("property violation:")

@@ -34,6 +34,7 @@ from oracles import (
     poly_mul_by_dict,
     reduce_mod,
     span_rank,
+    sparse_rank_by_components,
     traced_peak,
     xor_reduce_by_counts,
 )
@@ -226,7 +227,7 @@ def test_reduced_powers_are_their_own_transposes(member):
 
 def test_halved_certificate_rank_equals_the_full_rank(monkeypatch):
     # the class route against the component route on the two fermat_power
-    # halves and against the block rank of the whole power; with
+    # halves and on the whole power; with
     # HALF_CHECK_T_MAX = 0 it lists only about the low half, as past t = 7
     for n in range(1, 32, 2):
         for t in range(1, 7):
@@ -235,7 +236,7 @@ def test_halved_certificate_rank_equals_the_full_rank(monkeypatch):
                 patch.setattr(polyf2, "HALF_CHECK_T_MAX", 0)
                 low_only = polyf2._certificate_rank(n, t)
             assert rank == low_only == certificate_rank_by_components(n, t), (n, t)
-            assert rank == poly_rank(fermat_power(n, t)), (n, t)
+            assert rank == sparse_rank_by_components(coeff_matrix(fermat_power(n, t))), (n, t)
 
 
 seeds = st.integers(0, 2 ** 32 - 1)
@@ -314,6 +315,30 @@ def test_certify_needs_no_codes_and_no_component_pass(monkeypatch):
     with pytest.raises(AssertionError):  # the stubs are on the component route
         certificate_rank_by_components(7, 2)
     assert certify_unit_rate(13, 7).trace[-1] == (7, 14442, 16384)
+
+
+@st.composite
+def weight_zero_polys(draw):
+    """(p, n, m): reduced monomials of weight 0 mod q - 1, with exponents 0 and q - 1 both drawn."""
+    m = draw(st.integers(1, 5))
+    period = (1 << m) - 1
+    n = draw(st.sampled_from([1, 3, 5, 7, period, period + 2, 2 ** 70 + 1]))
+    exps = st.integers(0, period)
+    monomials = []
+    for x1, x2, y2, top in draw(st.lists(st.tuples(exps, exps, exps, st.booleans()), max_size=40)):
+        y1 = -(x1 + n * (x2 + y2)) % period  # the column weight that makes the monomial's weight 0
+        monomials.append((x1, x2, period if top and y1 == 0 else y1, y2))
+    return SparsePoly.from_monomials(monomials), n, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_zero_polys())
+@example((SparsePoly.from_monomials([(0, 0, 0, 0), (7, 0, 7, 0)]), 3, 3))
+def test_part_rank_tells_exponents_0_and_q_minus_1_apart(drawn):
+    # x1 in {0, q - 1} share a class and an x2, and so do y1 in {0, q - 1}:
+    # only the extra key bit keeps such rows, or columns, apart
+    p, n, m = drawn
+    assert polyf2._part_rank(p, n, m) == sparse_rank_by_components(coeff_matrix(p)) == poly_rank(p)
 
 
 def test_certificate_and_coefficient_ranks_fill_one_stack_layout(monkeypatch):
@@ -835,29 +860,6 @@ def test_certify_n13_holds_the_class_blocks_of_both_halves():
     res, peak = traced_peak(certify_unit_rate, 13, 7)
     assert res.trace[-1] == (7, 14442, 16384)
     assert peak <= 651_000
-
-
-def test_block_rank_of_the_n13_t7_power_holds_int32_labels():
-    # 84192 entries, ranked in the polynomial's own codes; int64 sort keys and
-    # positions beside them took 2.44 MB (29 bytes per entry), and packed-pair
-    # labels with the positions written over them 1.52 MB (18.0); the cap sat
-    # 10% above that.  Filling every stack at once from the labels takes
-    # 1.61 MB (19.1), under the same cap
-    power = fermat_power(13, 7)
-    rank, peak = traced_peak(poly_rank, power)
-    assert (len(power), rank) == (84192, 14442)
-    assert peak <= 1_670_000
-
-
-@pytest.mark.extended
-def test_block_rank_of_the_n19_t9_low_half_holds_20_bytes_per_entry():
-    # beside its 8-byte entries the rank of this half held 29.0 bytes per entry,
-    # and now holds 16.1; about 6 s under tracemalloc
-    total = 19 * ((1 << 9) - 1)
-    [half] = fermat_power(19, 9, keep=[2 * np.arange(total + 1) < total])
-    rank, peak = traced_peak(poly_rank, half)
-    assert (len(half), rank) == (1110016, 151037)
-    assert peak <= 20 * len(half)
 
 
 def test_submultiplicativity_chain():

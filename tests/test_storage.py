@@ -8,9 +8,9 @@ from storagecodes import polyf2, storage
 from storagecodes.carryfree import count_nm
 from storagecodes.errors import BudgetError, ParameterError, PropertyViolation
 from storagecodes.field import GF2m
-from storagecodes.bitmatrix import BitMatrix
+from storagecodes.bitmatrix import BitMatrix, SparseBitMatrix
 from storagecodes.graphs import FamilyParams, build_graph
-from storagecodes.polyf2 import SparsePoly, eval_matrix, fermat_power, graded_ranks, poly_rank, substitute
+from storagecodes.polyf2 import SparsePoly, coeff_matrix, eval_matrix, fermat_power, graded_ranks, poly_rank, substitute
 from storagecodes.storage import (
     code_report,
     coset_matrix,
@@ -28,6 +28,7 @@ from oracles import (
     mersenne_power,
     orbit_parts_by_walk,
     reduce_mod,
+    sparse_rank_by_components,
     span_rank,
     traced_peak,
     verify_repair_by_rows,
@@ -219,18 +220,33 @@ def test_code_report_of_a_given_h_equals_its_own():
 
 
 def test_code_report_raises_when_the_routes_disagree(monkeypatch):
-    monkeypatch.setattr(polyf2, "poly_rank", lambda p: poly_rank(p) + 1)
+    part_rank = polyf2._part_rank
+    monkeypatch.setattr(polyf2, "_part_rank", lambda p, n, m: part_rank(p, n, m) + 1)
     with pytest.raises(PropertyViolation, match="dense rank"):
         code_report(FamilyParams(3, 2))
 
 
 def test_code_report_raises_when_a_class_and_its_double_disagree(monkeypatch):
-    def skewed(p):  # one more for class 2 of the member (3, 3) alone
-        return poly_rank(p) + ({(e.x1 + 3 * e.x2) % 7 for e in p.monomials()} == {2})
+    part_rank = polyf2._part_rank
 
-    monkeypatch.setattr(polyf2, "poly_rank", skewed)
+    def skewed(p, n, m):  # one more for class 2 of the member (3, 3) alone
+        return part_rank(p, n, m) + ({(e.x1 + 3 * e.x2) % 7 for e in p.monomials()} == {2})
+
+    monkeypatch.setattr(polyf2, "_part_rank", skewed)
     with pytest.raises(PropertyViolation, match="class 2 of W has rank"):
         code_report(FamilyParams(3, 3))
+
+
+def test_code_report_needs_no_component_pass(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the code report ranked a part as a coefficient matrix")
+
+    monkeypatch.setattr(polyf2, "poly_rank", refuse)
+    monkeypatch.setattr(SparseBitMatrix, "rank", refuse)
+    with pytest.raises(AssertionError):  # the stubs are on the coefficient-matrix route
+        poly_rank(fermat_power(3, 2, 2))
+    rep = code_report(FamilyParams(3, 6))
+    assert (rep.rank_h, rep.rank_w, rep.rank_d) == (1102, 1102, 1102)
 
 
 @st.composite
@@ -244,9 +260,9 @@ def odd_members(draw):
 
 
 def full_ranks(n: int, m: int) -> tuple[int, int, int]:
-    """rank(1 + W), rank(W) and rank(D), each the block rank of the whole polynomial."""
+    """rank(1 + W), rank(W) and rank(D), each the component rank of the whole polynomial."""
     w = fermat_power(n, m, m)
-    return poly_rank(w + SparsePoly.one()), poly_rank(w), poly_rank(substitute(w, n, m))
+    return tuple(sparse_rank_by_components(coeff_matrix(p)) for p in (w + SparsePoly.one(), w, substitute(w, n, m)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -258,6 +274,18 @@ def full_ranks(n: int, m: int) -> tuple[int, int, int]:
 def test_orbit_ranks_equal_the_full_ranks(member):
     n, m = member
     assert graded_ranks(n, m) == full_ranks(n, m)
+
+
+@settings(max_examples=30, deadline=None)
+@given(odd_members().filter(lambda member: member[1] <= 6))
+@example((3, 1))
+@example((2 ** 70 + 1, 6))
+def test_part_rank_of_whole_indicators_equals_the_component_rank(member):
+    # a part may hold every class: whole W, 1 + W and D, ranked by classes and by components
+    n, m = member
+    w = fermat_power(n, m, m)
+    for p in (w, w + SparsePoly.one(), substitute(w, n, m)):
+        assert polyf2._part_rank(p, n, m) == sparse_rank_by_components(coeff_matrix(p)) == poly_rank(p)
 
 
 @pytest.mark.parametrize("m", range(1, 14))
@@ -279,7 +307,9 @@ def test_graded_ranks_generate_w_in_one_call(monkeypatch, n, m):
 
 def test_orbit_ranks_of_the_m7_member_write_only_the_ranked_classes():
     # W of (3, 7) has 27696 codes, 0.22 MB; written whole and filtered, the
-    # ranks peaked at 0.62 MB, and the parts written alone peak at 0.14-0.16 MB
+    # ranks peaked at 0.62 MB, and the parts written alone at 0.14-0.16 MB
+    # by components; ranked by their classes they peak at 0.31 MB, mostly
+    # the keys and fill temporaries of the largest part (1750 codes)
     ranks, peak = traced_peak(graded_ranks, 3, 7)
     assert ranks == (3610, 3610, 3610)
     assert peak <= 350_000
